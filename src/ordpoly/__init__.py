@@ -24,7 +24,6 @@ from .combinat import (
     maximal_runs,
     paired_subsets,
     retract,
-    vertex_set,
 )
 from .hvector import (
     f_from_h_prime,
@@ -127,5 +126,4 @@ __all__ = [
     "verify_instance",
     "verify_shelling_partition",
     "verify_shelling_topological",
-    "vertex_set",
 ]

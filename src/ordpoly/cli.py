@@ -13,31 +13,21 @@ import sys
 
 from .bijection import bijection_table_rows, bijection_table_text
 from .combinat import Params
-from .hvector import (
-    h_closed_form,
-    h_prime_from_shelling,
-    multiplicial_h,
-    shelling_contributions,
-    toric_h,
-)
-from .lattice import build_face_lattice
 from .multiplex import (
     multiplex_boundary_triangulation,
     multiplex_facets,
     multiplex_g,
     multiplex_triangulation,
 )
-from .ordinary import enumerate_facets
 from .shelling import colex_shelling, presence_grid, shelling_table_rows, shelling_table_text
 from .triangulation import (
-    simplicial_h,
     triangulation_shelling,
     triangulation_table_rows,
     triangulation_table_text,
 )
-from .verify import grid_instances, verify_instance
+from .verify import H_ROUTES, InstanceBundle, grid_instances, h_routes, verify_instance
 
-_METHODS = ("toric", "closed", "multiplicial", "triangulation", "shelling", "all")
+_METHODS = (*H_ROUTES, "shelling", "all")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -90,15 +80,15 @@ def _axis(n: int) -> str:
 
 
 def _run_facets(p: Params, fmt: str) -> tuple[int, str]:
-    facets = enumerate_facets(p)
+    b = InstanceBundle(p)
+    facets = b.facets
     if fmt == "json":
-        lattice = build_face_lattice(facets, p.d)
         doc = {
             "d": p.d,
             "k": p.k,
             "n": p.n,
             "facets": [list(f) for f in facets],
-            "lattice": json.loads(lattice.to_json()),
+            "lattice": json.loads(b.lattice.to_json()),
         }
         return 0, _dump(doc)
     if fmt == "csv":
@@ -139,54 +129,25 @@ def _run_triangulate(p: Params, fmt: str) -> tuple[int, str]:
     return 0, triangulation_table_text(p).rstrip("\n")
 
 
-def _hvector_routes(p: Params, method: str) -> dict[str, tuple[int, ...]]:
-    routes: dict[str, tuple[int, ...]] = {}
-    wants = (
-        ["toric", "closed", "multiplicial", "triangulation"]
-        if method == "all"
-        else [method]
-    )
-    lattice = None
-    if {"toric", "multiplicial"} & set(wants):
-        lattice = build_face_lattice(enumerate_facets(p), p.d)
-    for name in wants:
-        if name == "toric":
-            routes[name] = toric_h(lattice)
-        elif name == "closed":
-            if p.d % 2 == 0:
-                if method == "all":
-                    continue
-                raise ValueError("the closed form needs odd dimension")
-            routes[name] = h_closed_form(p)
-        elif name == "multiplicial":
-            routes[name] = multiplicial_h(lattice.f_vector(), lattice.flag_f0())
-        elif name == "triangulation":
-            routes[name] = simplicial_h(triangulation_shelling(p), p.d)
-        elif name == "shelling":
-            routes[name] = h_prime_from_shelling(colex_shelling(p), p.d)
-    return routes
-
-
 def _run_hvector(p: Params, fmt: str, method: str) -> tuple[int, str]:
+    b = InstanceBundle(p)
     try:
-        routes = _hvector_routes(p, method)
+        routes = h_routes(b, method)
     except ValueError as exc:
         return 2, f"error: {exc}"
     agree = len(set(routes.values())) == 1
     code = 0 if agree else 1
     if fmt == "json":
-        h_prime = h_prime_from_shelling(colex_shelling(p), p.d)
-        contributions = shelling_contributions(p)
         h = next(iter(routes.values())) if agree else None
         doc = {
             "d": p.d,
             "k": p.k,
             "n": p.n,
             "h": list(h) if h is not None else None,
-            "h_prime": list(h_prime),
+            "h_prime": list(b.h_prime),
             "a": {
                 str(j): [poly.coefficient(p.d - i) for i in range(p.d + 1)]
-                for j, poly in sorted(contributions.items())
+                for j, poly in sorted(b.contributions.items())
             },
         }
         return code, _dump(doc)

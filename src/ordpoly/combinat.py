@@ -3,14 +3,15 @@
 A face of a polytope or of a triangulation is identified with its vertex
 set, stored as a strictly increasing tuple of integer labels.  This module
 supplies the primitive operations on such sets: retraction (clamping into
-[0, n]), Gale evenness, paired subsets, maximal runs, even positions, and
-the colexicographic order used throughout.
+[0, n]), Gale evenness, paired subsets, maximal runs, even positions, the
+colexicographic order used throughout, and the bitmask encoding (bit v set
+iff label v is in the set) with the shelling wall test built on it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 VertexSet = tuple[int, ...]
 
@@ -85,11 +86,6 @@ class Params:
         return f"P^{{{self.d},{self.k},{self.n}}}"
 
 
-def vertex_set(values: Iterable[int]) -> VertexSet:
-    """Sorted, deduplicated tuple of integer labels."""
-    return tuple(sorted(set(values)))
-
-
 def retract(values: Iterable[int], n: int) -> VertexSet:
     """Clamp every element into [0, n], then deduplicate and sort.
 
@@ -157,16 +153,6 @@ def colex_key(face: VertexSet) -> tuple[int, ...]:
     return tuple(reversed(face))
 
 
-def colex_compare(a: VertexSet, b: VertexSet) -> int:
-    """-1, 0, or 1 as ``a`` precedes, equals, or follows ``b`` in colex."""
-    ka, kb = colex_key(a), colex_key(b)
-    if ka < kb:
-        return -1
-    if ka > kb:
-        return 1
-    return 0
-
-
 def colex_sorted(faces: Iterable[VertexSet]) -> list[VertexSet]:
     return sorted(faces, key=colex_key)
 
@@ -197,3 +183,63 @@ def paired_subsets(window: Interval, size: int) -> list[VertexSet]:
     if size % 2 != 0 or size > window.size:
         return [] if size else [()]
     return colex_sorted(tuple(y) for y in _paired_from(window.lo, window.hi, size))
+
+
+# -- bitmasks and the shelling wall test -----------------------------------
+
+
+def mask_of(face: Iterable[int]) -> int:
+    """Bitmask of a vertex set: bit v is set iff v is in ``face``."""
+    mask = 0
+    for v in face:
+        mask |= 1 << v
+    return mask
+
+
+def face_of(mask: int) -> VertexSet:
+    """Vertex set of a bitmask, as a strictly increasing tuple."""
+    out = []
+    v = 0
+    while mask:
+        if mask & 1:
+            out.append(v)
+        mask >>= 1
+        v += 1
+    return tuple(out)
+
+
+def simplex_walls(cell: int) -> list[int]:
+    """Walls of a simplex mask: the cell minus one vertex, by increasing
+    removed vertex."""
+    walls = []
+    rest = cell
+    while rest:
+        low = rest & -rest
+        walls.append(cell ^ low)
+        rest ^= low
+    return walls
+
+
+def covered_walls(walls: Sequence[int], earlier: Sequence[int]) -> list[int]:
+    """Indices of the walls that lie inside some earlier cell."""
+    return [i for i, w in enumerate(walls) if any(w & ~e == 0 for e in earlier)]
+
+
+def shelling_walls(
+    cell: int, walls: Sequence[int], earlier: Sequence[int]
+) -> list[int] | None:
+    """The shelling rule for one step, on vertex bitmasks.
+
+    Past the first step (``earlier`` nonempty) some wall of ``cell`` must
+    lie in an earlier cell, and every nonempty meet of ``cell`` with an
+    earlier cell must sit inside one of those covered walls.  Returns the
+    covered wall indices, or None when the rule fails.
+    """
+    covered = covered_walls(walls, earlier)
+    if earlier and not covered:
+        return None
+    for e in earlier:
+        meet = cell & e
+        if meet and not any(meet & ~walls[i] == 0 for i in covered):
+            return None
+    return covered

@@ -13,7 +13,7 @@ measure h - h', computed by two routes that must agree.
 from __future__ import annotations
 
 from math import comb
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -95,18 +95,8 @@ def toric_h(lattice: FaceLattice) -> HVector:
 
 def toric_g(lattice: FaceLattice, face: VertexSet | None = None) -> IntPolynomial:
     """Toric g-polynomial of a face (default: the whole polytope)."""
-    h_list, g_list = toric_tables(lattice)
-    if face is None:
-        h = h_list[-1]
-        e = lattice.d
-        return IntPolynomial([1] + [h[i] - h[i - 1] for i in range(1, e // 2 + 1)])
-    return IntPolynomial(g_list[lattice.index(face)])
-
-
-def face_g_polynomials(lattice: FaceLattice) -> list[IntPolynomial]:
-    """g-polynomial of every face, aligned with ``lattice.faces``."""
     _, g_list = toric_tables(lattice)
-    return [IntPolynomial(g) for g in g_list]
+    return IntPolynomial(g_list[-1 if face is None else lattice.index(face)])
 
 
 # -- closed form ----------------------------------------------------------
@@ -170,15 +160,19 @@ def multiplicial_h(f: Sequence[int], flag0: Sequence[int]) -> HVector:
 # -- fake-simplicial h' ---------------------------------------------------
 
 
+def new_face_counts(new_faces: Iterable[VertexSet], d: int) -> HVector:
+    """(c_0..c_d): c_i = number of new faces with i vertices."""
+    out = [0] * (d + 1)
+    for face in new_faces:
+        if len(face) > d:
+            raise ValueError(f"new face {face} larger than d")
+        out[len(face)] += 1
+    return tuple(out)
+
+
 def h_prime_from_shelling(steps, d: int) -> HVector:
     """h'_i = number of shelling steps whose new face has i vertices."""
-    out = [0] * (d + 1)
-    for step in steps:
-        size = len(step.new_face)
-        if size > d:
-            raise ValueError(f"new face {step.new_face} larger than d")
-        out[size] += 1
-    return tuple(out)
+    return new_face_counts((step.new_face for step in steps), d)
 
 
 def h_prime_from_f(f: Sequence[int], d: int) -> HVector:
@@ -202,10 +196,7 @@ def f_from_h_prime(h_prime: Sequence[int]) -> tuple[int, ...]:
 
 
 def shelling_contributions(
-    p: Params,
-    lattice: FaceLattice | None = None,
-    steps=None,
-    triangulation_steps=None,
+    p: Params, lattice: FaceLattice, steps, triangulation_steps
 ) -> dict[int, IntPolynomial]:
     """Contribution a_j of each shelling step to h - h'.
 
@@ -217,19 +208,7 @@ def shelling_contributions(
     Each a_j is returned in the h alignment: a_{j,i} is the coefficient
     of x^{d-i}.
     """
-    from .lattice import build_face_lattice
-    from .ordinary import enumerate_facets
-    from .shelling import colex_shelling
-    from .triangulation import triangulation_shelling
-
     d = p.d
-    if lattice is None:
-        lattice = build_face_lattice(enumerate_facets(p), d)
-    if steps is None:
-        steps = colex_shelling(p)
-    if triangulation_steps is None:
-        triangulation_steps = triangulation_shelling(p)
-
     by_facet: dict[int, list] = {}
     for t in triangulation_steps:
         by_facet.setdefault(t.facet_index, []).append(t)
@@ -248,17 +227,14 @@ def shelling_contributions(
         a_poly = IntPolynomial(b_coeffs).taylor_shift(-1)
         flag_route = tuple(a_poly.coefficient(d - 1 - i) for i in range(d + 1))
 
-        windows = by_facet.get(step.index, [])
         last = len(step.facet) - d + 1
-        window_route = [0] * (d + 1)
-        for t in windows:
-            if t.window_index <= last - 1:
-                window_route[len(t.new_face)] += 1
-        if flag_route != tuple(window_route):
+        inner = [t.new_face for t in by_facet.get(step.index, []) if t.window_index < last]
+        window_route = new_face_counts(inner, d)
+        if flag_route != window_route:
             raise RuntimeError(
                 f"contribution routes disagree at step {step.index}: "
                 f"interval counting gives {flag_route}, "
-                f"window counting gives {tuple(window_route)}"
+                f"window counting gives {window_route}"
             )
         out[step.index] = IntPolynomial.monomial(1, 1) * a_poly
     return out

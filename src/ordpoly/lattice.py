@@ -7,7 +7,8 @@ stored as vertex bitmasks; containment, grading, the Euler condition and
 carriers are all evaluated through numpy array arithmetic.
 
 The closure size is capped by the ORDPOLY_MAX_FACES environment variable
-(default 200000) so a typo in the parameters cannot eat the machine.
+(a positive integer, default 200000) so a typo in the parameters cannot
+eat the machine.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .combinat import VertexSet, colex_key
+from .combinat import VertexSet, colex_key, face_of, mask_of
 
 DEFAULT_MAX_FACES = 200_000
 
@@ -27,28 +28,15 @@ _CHUNK = 1024
 
 def _max_faces() -> int:
     raw = os.environ.get("ORDPOLY_MAX_FACES", "")
-    try:
-        return int(raw) if raw else DEFAULT_MAX_FACES
-    except ValueError:
+    if not raw:
         return DEFAULT_MAX_FACES
-
-
-def _mask_of(face: Iterable[int]) -> int:
-    mask = 0
-    for v in face:
-        mask |= 1 << v
-    return mask
-
-
-def _face_of(mask: int) -> VertexSet:
-    out = []
-    v = 0
-    while mask:
-        if mask & 1:
-            out.append(v)
-        mask >>= 1
-        v += 1
-    return tuple(out)
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ValueError(f"ORDPOLY_MAX_FACES must be a positive integer, got {raw!r}")
+    return cap
 
 
 class FaceLattice:
@@ -75,7 +63,7 @@ class FaceLattice:
         self.dims = tuple(dims)
         self.d = d
         self.n = n
-        self._masks = np.array([_mask_of(f) for f in self.faces], dtype=np.uint64)
+        self._masks = np.array([mask_of(f) for f in self.faces], dtype=np.uint64)
         self._sub = _subset_matrix(self._masks)
         self._index = {f: i for i, f in enumerate(self.faces)}
         self._facet_rows = tuple(facet_rows)
@@ -102,13 +90,6 @@ class FaceLattice:
 
     def facets(self) -> list[VertexSet]:
         return [self.faces[i] for i in self._facet_rows]
-
-    def faces_of_dim(self, e: int) -> list[VertexSet]:
-        return [f for f, fd in zip(self.faces, self.dims) if fd == e]
-
-    def proper_part(self) -> range:
-        """Row indices of all faces except the top (the empty face counts)."""
-        return range(len(self.faces) - 1)
 
     def downset(self, row: int) -> np.ndarray:
         """Rows of all faces weakly below ``row``."""
@@ -151,8 +132,8 @@ class FaceLattice:
             return ()
         if not set(sig) <= set(self.top()):
             raise ValueError(f"{sig} uses labels outside the vertex set")
-        mask = _mask_of(sig)
-        acc = _mask_of(self.top())
+        mask = mask_of(sig)
+        acc = mask_of(self.top())
         found = False
         for row in self._facet_rows:
             fmask = int(self._masks[row])
@@ -161,7 +142,7 @@ class FaceLattice:
                 found = True
         if not found:
             return self.top()
-        face = _face_of(acc)
+        face = face_of(acc)
         if face not in self._index:
             raise AssertionError(f"carrier {face} escaped the closure")
         return face
@@ -173,7 +154,7 @@ class FaceLattice:
         """
         facet_masks = self._masks[list(self._facet_rows)]
         contains = (facet_masks[:, None] & sigma_masks[None, :]) == sigma_masks[None, :]
-        full = np.uint64(_mask_of(self.top()))
+        full = np.uint64(mask_of(self.top()))
         stacked = np.where(contains, facet_masks[:, None], full)
         carriers = np.bitwise_and.reduce(stacked, axis=0)
         dim_by_mask = {int(m): fd for m, fd in zip(self._masks, self.dims)}
@@ -223,15 +204,16 @@ def _closure_masks(facet_masks: list[int], top_mask: int, cap: int) -> list[int]
     return sorted(faces)
 
 
-def _longest_chain_dims(masks: Sequence[int], sub: np.ndarray) -> np.ndarray:
+def _longest_chain_dims(masks: np.ndarray) -> np.ndarray:
     """Dimension of each face: longest chain from the empty face, minus one.
 
     Requires masks sorted so that any subset precedes its supersets
     (sorting by popcount suffices).
     """
     dims = np.full(len(masks), -1, dtype=np.int64)
-    for i in range(len(masks)):
-        below = np.flatnonzero(sub[:i, i])
+    for i in range(1, len(masks)):
+        before = masks[:i]
+        below = np.flatnonzero((before & masks[i]) == before)
         if below.size:
             dims[i] = dims[below].max() + 1
     return dims
@@ -251,8 +233,8 @@ def build_face_lattice(facets: Sequence[VertexSet], d: int) -> FaceLattice:
         raise ValueError("negative vertex labels cannot appear in faces")
     if vertices[-1] > 62:
         raise ValueError("vertex labels above 62 are not supported")
-    top_mask = _mask_of(vertices)
-    facet_masks = sorted({_mask_of(f) for f in facets})
+    top_mask = mask_of(vertices)
+    facet_masks = sorted({mask_of(f) for f in facets})
     if len(facet_masks) != len(facets):
         raise ValueError("duplicate facets")
     if top_mask in facet_masks:
@@ -260,15 +242,14 @@ def build_face_lattice(facets: Sequence[VertexSet], d: int) -> FaceLattice:
 
     masks = _closure_masks(facet_masks, top_mask, _max_faces())
     masks.sort(key=lambda m: (bin(m).count("1"), m))
-    sub = _subset_matrix(np.array(masks, dtype=np.uint64))
-    dims = _longest_chain_dims(masks, sub)
+    dims = _longest_chain_dims(np.array(masks, dtype=np.uint64))
 
-    faces = [_face_of(m) for m in masks]
+    faces = [face_of(m) for m in masks]
     order = sorted(range(len(faces)), key=lambda i: (dims[i], colex_key(faces[i])))
     faces = [faces[i] for i in order]
     dims_sorted = [int(dims[i]) for i in order]
 
-    facet_set = {_face_of(m) for m in facet_masks}
+    facet_set = {face_of(m) for m in facet_masks}
     facet_rows = [i for i, f in enumerate(faces) if f in facet_set]
     lattice = FaceLattice(faces, dims_sorted, d, vertices[-1], facet_rows)
     _validate_lattice(lattice, facet_set)
@@ -347,9 +328,7 @@ def lattice_from_json(text: str) -> FaceLattice:
     d = doc["d"]
     facet_rows = [i for i, fd in enumerate(dims) if fd == d - 1]
     lattice = FaceLattice(faces, dims, d, doc["n"], facet_rows)
-    recomputed = _longest_chain_dims(
-        [_mask_of(f) for f in faces], lattice._sub
-    )
+    recomputed = _longest_chain_dims(lattice._masks)
     if list(recomputed) != dims:
         raise ValueError("stored dimensions disagree with the containment order")
     return lattice

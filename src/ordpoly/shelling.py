@@ -26,8 +26,10 @@ from .combinat import (
     Params,
     VertexSet,
     even_positions,
+    mask_of,
     maximal_runs,
     run_containing,
+    shelling_walls,
 )
 from .lattice import FaceLattice
 from .multiplex import multiplex_facets
@@ -225,18 +227,29 @@ def boolean_interval_check(lattice: FaceLattice, bottom: VertexSet, top: VertexS
 _STATE_BUDGET = 500_000
 
 
-def _positional_ridges(e: int, p: int) -> list[VertexSet]:
+@lru_cache(maxsize=None)
+def _ridge_sets(e: int, p: int) -> tuple[VertexSet, ...]:
     """Facets of an e-multiplex with p+1 vertices, in position space."""
     if e == 1:
         if p != 1:
             raise ValueError(f"a 1-face has exactly 2 vertices, got {p + 1}")
-        return [(0,), (1,)]
-    return multiplex_facets(e, p)
+        return ((0,), (1,))
+    return tuple(multiplex_facets(e, p))
+
+
+def _walls(face: VertexSet, e: int) -> list[int]:
+    """Wall masks of an e-face, seen as an e-multiplex on its own vertices:
+    its ridges carried from position space to the face's labels."""
+    return [
+        mask_of(face[t] for t in ridge) for ridge in _ridge_sets(e, len(face) - 1)
+    ]
 
 
 @lru_cache(maxsize=None)
-def _ridge_sets(e: int, p: int) -> tuple[frozenset[int], ...]:
-    return tuple(frozenset(r) for r in _positional_ridges(e, p))
+def _ridge_walls(e: int, p: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """(mask, wall masks) of each facet of the e-multiplex with p+1
+    vertices, in position space."""
+    return tuple((mask_of(r), tuple(_walls(r, e - 1))) for r in _ridge_sets(e, p))
 
 
 class _SegmentChecker:
@@ -272,29 +285,11 @@ class _SegmentChecker:
     ) -> bool:
         if not placed:
             return True
-        facets = _ridge_sets(e, p)
-        fv = facets[f]
-        sub_e = e - 1
-        sub_p = len(fv) - 1
-        fv_sorted = sorted(fv)
-        sub_ridges = _ridge_sets(sub_e, sub_p)
-        ridge_vertex_sets = [
-            frozenset(fv_sorted[t] for t in ridge) for ridge in sub_ridges
-        ]
-        covering = [
-            idx
-            for idx, rv in enumerate(ridge_vertex_sets)
-            if any(rv <= facets[q] for q in placed)
-        ]
-        if not covering:
-            return False
-        covering_sets = [ridge_vertex_sets[idx] for idx in covering]
-        for q in placed:
-            meet = fv & facets[q]
-            if meet and not any(meet <= rv for rv in covering_sets):
-                return False
-        return self.is_initial_segment(
-            sub_e, sub_p, frozenset(covering)
+        ridges = _ridge_walls(e, p)
+        cell, walls = ridges[f]
+        covered = shelling_walls(cell, walls, [ridges[q][0] for q in placed])
+        return covered is not None and self.is_initial_segment(
+            e - 1, cell.bit_count() - 1, frozenset(covered)
         )
 
     def _search(
@@ -360,31 +355,22 @@ def verify_shelling_topological(
     the start of a shelling of the facet's own boundary (recursively).
     Ridges come from the facet's own multiplex structure in position
     space, so only the vertex sets are needed.
+
+    The state budget is charged per call; the search memo is shared by
+    all calls, so earlier calls can only make this one cheaper.
     """
     d = lattice.d
-    for j, face in enumerate(facet_order):
-        if j == 0:
-            continue
-        fv = set(face)
-        ridge_positions = _ridge_sets(d - 1, len(face) - 1)
-        ridge_sets = [frozenset(face[t] for t in ridge) for ridge in ridge_positions]
-        earlier = [set(g) for g in facet_order[:j]]
-        covering = [
-            idx
-            for idx, rv in enumerate(ridge_sets)
-            if any(rv <= g for g in earlier)
-        ]
-        if not covering:
-            return False
-        covering_sets = [ridge_sets[idx] for idx in covering]
-        for g in earlier:
-            meet = fv & g
-            if meet and not any(meet <= rv for rv in covering_sets):
+    _checker.states = 0
+    earlier: list[int] = []
+    for face in facet_order:
+        cell = mask_of(face)
+        if earlier:
+            covered = shelling_walls(cell, _walls(face, d - 1), earlier)
+            if covered is None or not _checker.is_initial_segment(
+                d - 1, len(face) - 1, frozenset(covered)
+            ):
                 return False
-        if not _checker.is_initial_segment(
-            d - 1, len(face) - 1, frozenset(covering)
-        ):
-            return False
+        earlier.append(cell)
     return True
 
 

@@ -19,8 +19,18 @@ from typing import Sequence
 
 import numpy as np
 
-from .combinat import Interval, Params, VertexSet, colex_sorted, is_gale
-from .hvector import HVector
+from .combinat import (
+    Interval,
+    Params,
+    VertexSet,
+    colex_sorted,
+    covered_walls,
+    is_gale,
+    mask_of,
+    shelling_walls,
+    simplex_walls,
+)
+from .hvector import HVector, new_face_counts
 from .lattice import FaceLattice
 from .shelling import colex_shelling, face_digits, presence_grid
 
@@ -99,10 +109,7 @@ def triangulation_shelling(p: Params) -> list[TriangulationStep]:
 
 def simplicial_h(steps: Sequence, d: int) -> HVector:
     """h_i = number of steps whose new face has i vertices."""
-    out = [0] * (d + 1)
-    for s in steps:
-        out[len(s.new_face)] += 1
-    return tuple(out)
+    return new_face_counts((s.new_face for s in steps), d)
 
 
 def shelling_restriction_faces(simplices: Sequence[VertexSet]) -> list[VertexSet]:
@@ -116,25 +123,18 @@ def shelling_restriction_faces(simplices: Sequence[VertexSet]) -> list[VertexSet
     earlier: list[int] = []
     out: list[VertexSet] = []
     for idx, simplex in enumerate(simplices):
-        smask = 0
-        for v in simplex:
-            smask |= 1 << v
-        covered = [
-            (v, w)
-            for v in simplex
-            for w in (smask & ~(1 << v),)
-            if any(w & ~e == 0 for e in earlier)
-        ]
-        if idx and not covered:
-            raise ValueError(f"step {idx + 1} meets no earlier simplex in a wall")
-        for e in earlier:
-            meet = smask & e
-            if meet and not any(meet & ~w == 0 for _, w in covered):
-                raise ValueError(
-                    f"step {idx + 1}: {simplex} meets an earlier simplex "
-                    "outside every covered wall"
-                )
-        out.append(tuple(sorted(v for v, _ in covered)))
+        smask = mask_of(simplex)
+        walls = simplex_walls(smask)
+        covered = shelling_walls(smask, walls, earlier)
+        if covered is None:
+            if not covered_walls(walls, earlier):
+                raise ValueError(f"step {idx + 1} meets no earlier simplex in a wall")
+            raise ValueError(
+                f"step {idx + 1}: {simplex} meets an earlier simplex "
+                "outside every covered wall"
+            )
+        vertices = sorted(simplex)
+        out.append(tuple(vertices[i] for i in covered))
         earlier.append(smask)
     return out
 
@@ -151,9 +151,7 @@ def shallowness_check(
         for size in range(1, len(simplex) + 1):
             faces.update(combinations(simplex, size))
     ordered = sorted(faces)
-    masks = np.array(
-        [sum(1 << v for v in f) for f in ordered], dtype=np.uint64
-    )
+    masks = np.array([mask_of(f) for f in ordered], dtype=np.uint64)
     carrier_dims = lattice.carrier_dims(masks)
     for face, cdim in zip(ordered, carrier_dims):
         if int(cdim) > 2 * (len(face) - 1):

@@ -22,6 +22,7 @@ from .hvector import (
     h_prime_from_shelling,
     h_to_polynomial,
     multiplicial_h,
+    new_face_counts,
     shelling_contributions,
     toric_tables,
 )
@@ -66,7 +67,7 @@ class InstanceBundle:
     """Shared computations for one parameter triple.
 
     Everything is computed lazily and at most once; the check functions
-    below only read from here.
+    below and the CLI verbs only read from here.
     """
 
     def __init__(self, p: Params):
@@ -77,8 +78,19 @@ class InstanceBundle:
         return enumerate_facets(self.p)
 
     @cached_property
+    def _lattice(self) -> FaceLattice | Exception:
+        try:
+            return build_face_lattice(self.facets, self.p.d)
+        except (ValueError, RuntimeError) as exc:
+            return exc
+
+    @property
     def lattice(self) -> FaceLattice:
-        return build_face_lattice(self.facets, self.p.d)
+        """The face lattice.  A failed build (a closure over the face cap,
+        say) is kept and raised again, so it runs once, not per reader."""
+        if isinstance(self._lattice, Exception):
+            raise self._lattice
+        return self._lattice
 
     @cached_property
     def steps(self):
@@ -105,6 +117,34 @@ class InstanceBundle:
         return shelling_contributions(
             self.p, self.lattice, self.steps, self.tri_steps
         )
+
+
+H_ROUTES = ("toric", "closed", "multiplicial", "triangulation")
+
+_H_ROUTE = {
+    "toric": lambda b: b.h,
+    "closed": lambda b: h_closed_form(b.p),
+    "multiplicial": lambda b: multiplicial_h(b.lattice.f_vector(), b.lattice.flag_f0()),
+    "triangulation": lambda b: simplicial_h(b.tri_steps, b.p.d),
+    "shelling": lambda b: b.h_prime,
+}
+
+
+def h_routes(b: InstanceBundle, method: str = "all") -> dict[str, HVector]:
+    """The h-vector of ``b`` by one route, or by all four of ``H_ROUTES``.
+
+    ``"all"`` leaves out the closed form in even dimension, where it does
+    not apply; asking for that route alone there raises ValueError.
+    ``"shelling"`` is the fake-simplicial h' of the colex shelling.
+    """
+    routes: dict[str, HVector] = {}
+    for name in H_ROUTES if method == "all" else (method,):
+        if name == "closed" and b.p.d % 2 == 0:
+            if method == "all":
+                continue
+            raise ValueError("the closed form needs odd dimension")
+        routes[name] = _H_ROUTE[name](b)
+    return routes
 
 
 def _check_facet_routes(b: InstanceBundle) -> str:
@@ -173,17 +213,9 @@ def _check_topological(b: InstanceBundle) -> str:
 
 
 def _check_four_way_h(b: InstanceBundle) -> str:
-    p = b.p
-    h = b.h
-    routes = {"toric": h}
-    if p.d % 2 == 1:
-        routes["closed"] = h_closed_form(p)
-    routes["multiplicial"] = multiplicial_h(
-        b.lattice.f_vector(), b.lattice.flag_f0()
-    )
-    routes["triangulation"] = simplicial_h(b.tri_steps, p.d)
-    bad = {name: v for name, v in routes.items() if v != h}
-    return "" if not bad else f"routes disagree: {routes}"
+    routes = h_routes(b)
+    agree = all(v == b.h for v in routes.values())
+    return "" if agree else f"routes disagree: {routes}"
 
 
 def _check_h_symmetric(b: InstanceBundle) -> str:
@@ -309,24 +341,18 @@ def _check_multiplex_suite(b: InstanceBundle) -> str:
         return f"toric h = {b.h}, expected flat {r + 1}"
     if b.h_prime != (1, r + 1) + (1,) * (d - 1):
         return f"h' = {b.h_prime}"
-    solid = multiplex_triangulation(d, n)
-    solid_new = shelling_restriction_faces(solid)
-    solid_h = [0] * (d + 2)
-    for u in solid_new:
-        solid_h[len(u)] += 1
-    if solid_h != [1, r] + [0] * d:
-        return f"solid subdivision h = {solid_h}"
+    solid_new = shelling_restriction_faces(multiplex_triangulation(d, n))
+    solid_h = new_face_counts(solid_new, d + 1)
+    if solid_h != (1, r) + (0,) * d:
+        return f"solid subdivision h = {list(solid_h)}"
     boundary = multiplex_boundary_triangulation(d, n)
     if {bs.simplex for bs in boundary} != {s.simplex for s in b.tri_steps}:
         return "boundary triangulations disagree"
     boundary_new = shelling_restriction_faces([bs.simplex for bs in boundary])
-    counts = [0] * (d + 1)
-    for u in boundary_new:
-        counts[len(u)] += 1
-    if tuple(counts) != b.h:
-        return f"boundary walk h = {counts} != toric {b.h}"
-    h = b.h
-    mine = IntPolynomial([1] + [h[i] - h[i - 1] for i in range(1, d // 2 + 1)])
+    counts = new_face_counts(boundary_new, d)
+    if counts != b.h:
+        return f"boundary walk h = {list(counts)} != toric {b.h}"
+    mine = IntPolynomial(b.toric[1][-1])
     if mine != multiplex_g(d, n + 1):
         return f"polytope g = {mine}, window form {multiplex_g(d, n + 1)}"
     return ""

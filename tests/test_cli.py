@@ -177,3 +177,24 @@ class TestFacets:
 
         lattice = lattice_from_json(json.dumps(doc["lattice"]))
         assert lattice.f_vector()[-1] == 12
+
+
+class TestOneBuildPerCall:
+    def test_hvector_json_builds_one_lattice(self, capsys, monkeypatch):
+        import ordpoly
+        from ordpoly import lattice
+
+        calls = []
+        build = lattice.build_face_lattice
+
+        def counted(*args):
+            calls.append(args)
+            return build(*args)
+
+        for name in dir(ordpoly):
+            module = getattr(ordpoly, name)
+            if getattr(module, "build_face_lattice", None) is build:
+                monkeypatch.setattr(module, "build_face_lattice", counted)
+        code, _, _ = run(capsys, "hvector", "5", "6", "8", "--format", "json")
+        assert code == 0
+        assert len(calls) == 1

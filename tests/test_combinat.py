@@ -12,7 +12,9 @@ from ordpoly.combinat import (
     colex_key,
     colex_sorted,
     even_positions,
+    face_of,
     is_gale,
+    mask_of,
     maximal_runs,
     paired_subsets,
     retract,
@@ -168,3 +170,9 @@ class TestColex:
         assert keys == sorted(keys)
         for a, b in zip(keys, keys[1:]):
             assert a < b
+
+
+class TestMasks:
+    @given(st.sets(st.integers(min_value=0, max_value=200), max_size=12))
+    def test_round_trip(self, labels):
+        assert face_of(mask_of(labels)) == tuple(sorted(labels))

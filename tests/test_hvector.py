@@ -18,6 +18,7 @@ from ordpoly.hvector import (
     toric_h,
 )
 from ordpoly.polynomial import IntPolynomial
+from ordpoly.verify import InstanceBundle
 
 
 class TestClosedForm:
@@ -146,7 +147,8 @@ class TestContributions:
 
 class TestStandalone:
     def test_shelling_contributions_builds_own_inputs(self):
-        contribs = shelling_contributions(Params(5, 6, 8))
+        b = InstanceBundle(Params(5, 6, 8))
+        contribs = shelling_contributions(b.p, b.lattice, b.steps, b.tri_steps)
         total = contribution_total(contribs)
         assert total == IntPolynomial([0, 2, 4, 2])
 

@@ -117,3 +117,16 @@ class TestValidation:
         f = lattice.f_vector()
         assert f[-1] == 12
         assert f[0] == 7
+
+
+class TestFaceCap:
+    @pytest.mark.parametrize("raw", ["abc", "-5", "0"])
+    def test_rejects_bad_cap(self, monkeypatch, raw):
+        monkeypatch.setenv("ORDPOLY_MAX_FACES", raw)
+        with pytest.raises(ValueError, match="ORDPOLY_MAX_FACES"):
+            build_face_lattice(enumerate_facets(Params(5, 6, 8)), 5)
+
+    def test_small_cap_stops_the_closure(self, monkeypatch):
+        monkeypatch.setenv("ORDPOLY_MAX_FACES", "100")
+        with pytest.raises(RuntimeError, match="cap of 100 faces"):
+            build_face_lattice(enumerate_facets(Params(7, 9, 12)), 7)

@@ -3,6 +3,7 @@
 import pytest
 
 from oracles import antistar_new_faces
+from ordpoly import shelling
 from ordpoly.combinat import Interval, Params
 from ordpoly.shelling import (
     colex_shelling,
@@ -121,8 +122,29 @@ class TestTopological:
         assert ok
 
     def test_reversed_colex_recorded(self, b568):
-        # the checker must yield a verdict for an arbitrary order, not
-        # crash; the verdict itself is recorded, not asserted
+        # the reversed colex order of P^{5,6,8} is a shelling too
         order = [s.facet for s in reversed(b568.steps)]
         result = verify_shelling_topological(b568.lattice, order)
-        assert result in (True, False)
+        assert result
+
+    @pytest.mark.parametrize(
+        "first",
+        [
+            (1, 2, 4),  # step 4 meets steps 1 and 2 in no common ridge
+            (1, 13, 14),  # step 14 meets step 1 outside its covered ridges
+        ],
+    )
+    def test_bad_prefix_is_refused(self, b568, first):
+        facets = [s.facet for s in b568.steps]
+        head = [facets[j - 1] for j in first]
+        order = head + [f for f in facets if f not in head]
+        assert not verify_shelling_topological(b568.lattice, order)
+
+    def test_state_budget_is_per_call(self, bundles, monkeypatch):
+        # P^{5,6,8} spends 123 states from a cold memo and P^{7,8,10} then
+        # 347 more: each fits a budget of 400, their sum does not
+        monkeypatch.setattr(shelling, "_checker", shelling._SegmentChecker())
+        monkeypatch.setattr(shelling, "_STATE_BUDGET", 400)
+        for dkn in [(5, 6, 8), (7, 8, 10)]:
+            b = bundles(*dkn)
+            assert verify_shelling_topological(b.lattice, [s.facet for s in b.steps])

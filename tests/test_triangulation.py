@@ -87,6 +87,14 @@ class TestRestrictionOracle:
         for s, faces in zip(b.tri_steps, oracle):
             assert s.new_face == faces
 
+    def test_rejects_step_without_covered_wall(self):
+        with pytest.raises(ValueError, match="meets no earlier simplex in a wall"):
+            shelling_restriction_faces([(0, 1, 2), (1, 2, 3), (0, 3, 4)])
+
+    def test_rejects_meet_outside_covered_walls(self):
+        with pytest.raises(ValueError, match="outside every covered wall"):
+            shelling_restriction_faces([(0, 1, 2), (1, 2, 3), (2, 3, 4), (0, 3, 4)])
+
     def test_multiplex_59_fourth_facet_ladder(self, bundles):
         b = bundles(5, 5, 9)
         sizes = [

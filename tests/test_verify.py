@@ -1,5 +1,6 @@
 """The cross-check harness itself: grid composition and failure reporting."""
 
+from ordpoly import lattice
 from ordpoly.combinat import Params
 from ordpoly.verify import CHECK_NAMES, grid_instances, verify_instance
 
@@ -40,3 +41,19 @@ class TestVerifyInstance:
         by_name = {r.name: r for r in results}
         assert by_name["multiplex_suite"].ok
         assert not by_name["multiplex_suite"].detail
+
+    def test_failed_lattice_is_built_once(self, monkeypatch):
+        monkeypatch.setenv("ORDPOLY_MAX_FACES", "100")
+        calls = []
+        closure = lattice._closure_masks
+
+        def counted(*args):
+            calls.append(args)
+            return closure(*args)
+
+        monkeypatch.setattr(lattice, "_closure_masks", counted)
+        results = verify_instance(Params(7, 9, 12))
+        failed = [r for r in results if not r.ok]
+        assert len(failed) == 13
+        assert all("exceeds the cap of 100 faces" in r.detail for r in failed)
+        assert len(calls) == 1
