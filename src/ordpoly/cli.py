@@ -13,6 +13,7 @@ import sys
 
 from .bijection import bijection_table_rows, bijection_table_text
 from .combinat import Params
+from .lattice import _max_faces
 from .multiplex import (
     multiplex_boundary_triangulation,
     multiplex_facets,
@@ -302,6 +303,7 @@ def main(argv=None) -> int:
         return _fail_args(str(exc))
 
     try:
+        _max_faces()  # a malformed face cap is a bad argument for every verb
         if args.verb == "facets":
             code, out = _run_facets(p, args.format)
         elif args.verb == "shell":

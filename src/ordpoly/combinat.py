@@ -26,10 +26,6 @@ class Interval(NamedTuple):
     def size(self) -> int:
         return max(0, self.hi - self.lo + 1)
 
-    @property
-    def is_empty(self) -> bool:
-        return self.hi < self.lo
-
     def members(self) -> range:
         return range(self.lo, self.hi + 1)
 

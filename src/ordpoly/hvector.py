@@ -15,8 +15,6 @@ from __future__ import annotations
 from math import comb
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .combinat import Params, VertexSet
 from .lattice import FaceLattice
 from .polynomial import IntPolynomial, x_minus_one_power
@@ -46,29 +44,26 @@ def toric_tables(lattice: FaceLattice) -> tuple[list[HVector], list[tuple[int, .
     strictly below it, so one pass suffices.  Index -1 into the h table
     is the empty face whose g is 1 by convention.
     """
-    dims = np.asarray(lattice.dims)
+    dims = lattice.dims
     count = len(lattice.faces)
-    g_width = lattice.d // 2 + 1
-    g_table = np.zeros((count, g_width), dtype=np.int64)
     h_list: list[HVector] = [()] * count
     g_list: list[tuple[int, ...]] = [(1,)] * count
 
     for row in range(count):
-        e = int(dims[row])
+        e = dims[row]
         if e == -1:
-            g_table[row, 0] = 1
             h_list[row] = (1,)
             continue
-        below = lattice.downset(row)
-        below = below[below != row]
+        # g summed over the faces strictly below, grouped by dimension
+        g_sums: dict[int, list[int]] = {}
+        for r in lattice.downset(row)[:-1]:
+            acc = g_sums.setdefault(dims[r], [0] * (e // 2 + 1))
+            for i, gi in enumerate(g_list[r]):
+                acc[i] += gi
         h_coeffs = [0] * (e + 1)
-        for t in range(-1, e):
-            group = below[dims[below] == t]
-            if not group.size:
-                continue
-            g_sum = g_table[group].sum(axis=0)
+        for t, g_sum in g_sums.items():
             pascal = x_minus_one_power(e - 1 - t)
-            for i, gi in enumerate(g_sum.tolist()):
+            for i, gi in enumerate(g_sum):
                 if gi:
                     for jdx, b in enumerate(pascal):
                         h_coeffs[i + jdx] += gi * b
@@ -83,7 +78,6 @@ def toric_tables(lattice: FaceLattice) -> tuple[list[HVector], list[tuple[int, .
             h_vec[i] - h_vec[i - 1] for i in range(1, e // 2 + 1)
         ]
         g_list[row] = tuple(g_coeffs)
-        g_table[row, : len(g_coeffs)] = g_coeffs
     return h_list, g_list
 
 
@@ -213,13 +207,11 @@ def shelling_contributions(
     for t in triangulation_steps:
         by_facet.setdefault(t.facet_index, []).append(t)
 
-    dims = np.asarray(lattice.dims)
     out: dict[int, IntPolynomial] = {}
     for step in steps:
-        rows = lattice.interval_rows(step.new_face, step.facet)
         b_coeffs = [0] * d
-        for r in rows.tolist():
-            e = int(dims[r])
+        for r in lattice.interval_rows(step.new_face, step.facet):
+            e = lattice.dims[r]
             if 0 <= e <= d - 1:
                 surplus = len(lattice.faces[r]) - (e + 1)
                 if surplus:

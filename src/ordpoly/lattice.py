@@ -1,10 +1,14 @@
 """Face lattices built from facet lists by intersection closure.
 
 Every proper face of a polytope is an intersection of facets, so the
-closure of the facet list under pairwise intersection, together with the
-empty face and the whole vertex set, is the full face lattice.  Faces are
-stored as vertex bitmasks; containment, grading, the Euler condition and
-carriers are all evaluated through numpy array arithmetic.
+closure of the facet list under intersection, together with the empty
+face and the whole vertex set, is the full face lattice.  The closure is
+walked top-down along its cover relation: the lower covers of a face H
+are the maximal meets H & F over the facets F that do not contain H
+(Kaibel and Pfetsch, "Computing the face lattice of a polytope from its
+vertex-facet incidences", Comput. Geom. 23, 2002).  Faces are stored as
+``combinat.mask_of`` integers, so vertex labels are unbounded; down-sets
+and up-sets are integer bitsets over rows, OR-ed along the covers.
 
 The closure size is capped by the ORDPOLY_MAX_FACES environment variable
 (a positive integer, default 200000) so a typo in the parameters cannot
@@ -17,13 +21,9 @@ import json
 import os
 from typing import Iterable, Sequence
 
-import numpy as np
-
-from .combinat import VertexSet, colex_key, face_of, mask_of
+from .combinat import VertexSet, face_of, mask_of
 
 DEFAULT_MAX_FACES = 200_000
-
-_CHUNK = 1024
 
 
 def _max_faces() -> int:
@@ -39,34 +39,54 @@ def _max_faces() -> int:
     return cap
 
 
+def _rows(bits: int) -> list[int]:
+    """Indices of the set bits of ``bits``, ascending."""
+    out = []
+    while bits:
+        low = bits & -bits
+        out.append(low.bit_length() - 1)
+        bits ^= low
+    return out
+
+
 class FaceLattice:
     """Graded face lattice of a polytope, from the empty face to the top.
 
     Faces are ordered by (dimension, colex); ``faces[0]`` is the empty
-    face and ``faces[-1]`` the whole vertex set.  The lattice is validated
-    at construction: the closure must be graded with the requested top
-    dimension, each input facet must sit at dimension d-1, and the atoms
-    must be exactly the vertex singletons.
+    face and ``faces[-1]`` the whole vertex set.  The constructor takes
+    the rows of each face's lower covers (``covers[r]``); the lattice is
+    built and validated by ``build_face_lattice``.
     """
 
-    __slots__ = ("faces", "dims", "d", "n", "_masks", "_sub", "_index", "_facet_rows")
+    __slots__ = ("faces", "dims", "d", "n", "_masks", "_index", "_facet_rows", "_down", "_up")
 
     def __init__(
         self,
-        faces: Sequence[VertexSet],
+        masks: Sequence[int],
         dims: Sequence[int],
         d: int,
-        n: int,
         facet_rows: Sequence[int],
+        covers: Sequence[Sequence[int]],
     ):
-        self.faces = tuple(faces)
+        self._masks = tuple(masks)
+        self.faces = tuple(face_of(m) for m in self._masks)
         self.dims = tuple(dims)
         self.d = d
-        self.n = n
-        self._masks = np.array([mask_of(f) for f in self.faces], dtype=np.uint64)
-        self._sub = _subset_matrix(self._masks)
+        self.n = self._masks[-1].bit_length() - 1
         self._index = {f: i for i, f in enumerate(self.faces)}
         self._facet_rows = tuple(facet_rows)
+        # Covers point to lower rows, so one ascending pass fills the
+        # down-sets and one descending pass the up-sets.
+        self._down: list[int] = []
+        for row, below in enumerate(covers):
+            bits = 1 << row
+            for c in below:
+                bits |= self._down[c]
+            self._down.append(bits)
+        self._up = [1 << row for row in range(len(self._masks))]
+        for row in reversed(range(len(self._masks))):
+            for c in covers[row]:
+                self._up[c] |= self._up[row]
 
     # -- basic queries ---------------------------------------------------
 
@@ -91,14 +111,13 @@ class FaceLattice:
     def facets(self) -> list[VertexSet]:
         return [self.faces[i] for i in self._facet_rows]
 
-    def downset(self, row: int) -> np.ndarray:
-        """Rows of all faces weakly below ``row``."""
-        return np.flatnonzero(self._sub[:, row])
+    def downset(self, row: int) -> list[int]:
+        """Rows of all faces weakly below ``row``, ascending."""
+        return _rows(self._down[row])
 
-    def interval_rows(self, bottom: VertexSet, top: VertexSet) -> np.ndarray:
-        lo = self.index(bottom)
-        hi = self.index(top)
-        return np.flatnonzero(self._sub[lo, :] & self._sub[:, hi])
+    def interval_rows(self, bottom: VertexSet, top: VertexSet) -> list[int]:
+        """Rows of all faces weakly between ``bottom`` and ``top``, ascending."""
+        return _rows(self._up[self.index(bottom)] & self._down[self.index(top)])
 
     # -- derived vectors -------------------------------------------------
 
@@ -133,10 +152,10 @@ class FaceLattice:
         if not set(sig) <= set(self.top()):
             raise ValueError(f"{sig} uses labels outside the vertex set")
         mask = mask_of(sig)
-        acc = mask_of(self.top())
+        acc = self._masks[-1]
         found = False
         for row in self._facet_rows:
-            fmask = int(self._masks[row])
+            fmask = self._masks[row]
             if fmask & mask == mask:
                 acc &= fmask
                 found = True
@@ -147,18 +166,20 @@ class FaceLattice:
             raise AssertionError(f"carrier {face} escaped the closure")
         return face
 
-    def carrier_dims(self, sigma_masks: np.ndarray) -> np.ndarray:
-        """Dimensions of the carriers of many simplices at once.
+    def carrier_dims(self, sigma_masks: Sequence[int]) -> list[int]:
+        """Dimensions of the carriers of many nonempty vertex bitmasks.
 
-        ``sigma_masks`` is a uint64 array of nonempty vertex bitmasks.
+        The faces containing sigma are the common up-set of its vertices;
+        the carrier is their lowest row.
         """
-        facet_masks = self._masks[list(self._facet_rows)]
-        contains = (facet_masks[:, None] & sigma_masks[None, :]) == sigma_masks[None, :]
-        full = np.uint64(mask_of(self.top()))
-        stacked = np.where(contains, facet_masks[:, None], full)
-        carriers = np.bitwise_and.reduce(stacked, axis=0)
-        dim_by_mask = {int(m): fd for m, fd in zip(self._masks, self.dims)}
-        return np.array([dim_by_mask[int(c)] for c in carriers], dtype=np.int64)
+        atom_up = {v: self._up[self._index[(v,)]] for v in self.top()}
+        out = []
+        for sigma in sigma_masks:
+            above = -1
+            for v in face_of(sigma):
+                above &= atom_up[v]
+            out.append(self.dims[(above & -above).bit_length() - 1])
+        return out
 
     # -- serialization ---------------------------------------------------
 
@@ -172,51 +193,44 @@ class FaceLattice:
         return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
-def _subset_matrix(masks: np.ndarray) -> np.ndarray:
-    """Boolean matrix sub[i, j] = (face i is a subset of face j)."""
-    count = len(masks)
-    sub = np.empty((count, count), dtype=bool)
-    for start in range(0, count, _CHUNK):
-        rows = masks[start : start + _CHUNK, None]
-        sub[start : start + _CHUNK] = (rows & masks[None, :]) == rows
-    return sub
+def _maximal(masks: Iterable[int]) -> list[int]:
+    """The inclusion-maximal members of a set of distinct masks."""
+    kept: list[int] = []
+    for m in sorted(masks, key=int.bit_count, reverse=True):
+        if all(m & k != m for k in kept):
+            kept.append(m)
+    return kept
 
 
-def _closure_masks(facet_masks: list[int], top_mask: int, cap: int) -> list[int]:
-    faces = set(facet_masks)
-    frontier = list(faces)
+def _closure_masks(facet_masks: list[int], top_mask: int, cap: int) -> dict[int, list[int]]:
+    """Every face of the closure, mapped to the masks of its lower covers.
+
+    A face below H is inside some facet that misses H, hence inside a
+    meet H & F; so the maximal meets are the lower covers, and walking
+    them down from the top reaches every face.  The top is not counted
+    against the cap.
+    """
+    covers: dict[int, list[int]] = {}
+    frontier = [top_mask]
     while frontier:
         next_frontier = []
-        for mask in frontier:
-            for fmask in facet_masks:
-                meet = mask & fmask
-                if meet not in faces:
-                    faces.add(meet)
+        for face in frontier:
+            meets = {face & f for f in facet_masks if face & f != face}
+            if not meets and face:  # inside every facet: covers only the empty face
+                meets = {0}
+            below = _maximal(meets)
+            covers[face] = below
+            for meet in below:
+                if meet not in covers:
+                    covers[meet] = []
                     next_frontier.append(meet)
-                    if len(faces) > cap:
+                    if len(covers) > cap + 1:
                         raise RuntimeError(
                             f"face closure exceeds the cap of {cap} faces; "
                             "raise ORDPOLY_MAX_FACES to allow more"
                         )
         frontier = next_frontier
-    faces.add(0)
-    faces.add(top_mask)
-    return sorted(faces)
-
-
-def _longest_chain_dims(masks: np.ndarray) -> np.ndarray:
-    """Dimension of each face: longest chain from the empty face, minus one.
-
-    Requires masks sorted so that any subset precedes its supersets
-    (sorting by popcount suffices).
-    """
-    dims = np.full(len(masks), -1, dtype=np.int64)
-    for i in range(1, len(masks)):
-        before = masks[:i]
-        below = np.flatnonzero((before & masks[i]) == before)
-        if below.size:
-            dims[i] = dims[below].max() + 1
-    return dims
+    return covers
 
 
 def build_face_lattice(facets: Sequence[VertexSet], d: int) -> FaceLattice:
@@ -231,8 +245,6 @@ def build_face_lattice(facets: Sequence[VertexSet], d: int) -> FaceLattice:
     vertices = sorted(set().union(*map(set, facets)))
     if vertices[0] < 0:
         raise ValueError("negative vertex labels cannot appear in faces")
-    if vertices[-1] > 62:
-        raise ValueError("vertex labels above 62 are not supported")
     top_mask = mask_of(vertices)
     facet_masks = sorted({mask_of(f) for f in facets})
     if len(facet_masks) != len(facets):
@@ -240,95 +252,78 @@ def build_face_lattice(facets: Sequence[VertexSet], d: int) -> FaceLattice:
     if top_mask in facet_masks:
         raise ValueError("a facet equals the whole vertex set")
 
-    masks = _closure_masks(facet_masks, top_mask, _max_faces())
-    masks.sort(key=lambda m: (bin(m).count("1"), m))
-    dims = _longest_chain_dims(np.array(masks, dtype=np.uint64))
+    covers = _closure_masks(facet_masks, top_mask, _max_faces())
+    # Covers are proper subsets, so ascending popcount meets them first;
+    # a face is graded iff all its lower covers share one dimension.
+    dims: dict[int, int] = {}
+    for mask in sorted(covers, key=int.bit_count):
+        below = {dims[c] for c in covers[mask]}
+        if len(below) > 1:
+            raise ValueError("face closure is not graded")
+        dims[mask] = below.pop() + 1 if below else -1
 
-    faces = [face_of(m) for m in masks]
-    order = sorted(range(len(faces)), key=lambda i: (dims[i], colex_key(faces[i])))
-    faces = [faces[i] for i in order]
-    dims_sorted = [int(dims[i]) for i in order]
-
-    facet_set = {face_of(m) for m in facet_masks}
-    facet_rows = [i for i, f in enumerate(faces) if f in facet_set]
-    lattice = FaceLattice(faces, dims_sorted, d, vertices[-1], facet_rows)
-    _validate_lattice(lattice, facet_set)
+    # Numeric order of masks is colex order of the vertex sets.
+    masks = sorted(covers, key=lambda m: (dims[m], m))
+    row = {m: i for i, m in enumerate(masks)}
+    facet_set = set(facet_masks)
+    lattice = FaceLattice(
+        masks,
+        [dims[m] for m in masks],
+        d,
+        [i for i, m in enumerate(masks) if m in facet_set],
+        [[row[c] for c in covers[m]] for m in masks],
+    )
+    _validate_lattice(lattice, facet_masks)
     return lattice
 
 
-def _validate_lattice(lattice: FaceLattice, facet_set: set[VertexSet]) -> None:
+def _validate_lattice(lattice: FaceLattice, facet_masks: list[int]) -> None:
     d = lattice.d
     if lattice.dims[-1] != d:
         raise ValueError(
             f"top face has rank {lattice.dims[-1] + 1}, expected {d + 1}: "
             "facet list does not describe a d-polytope"
         )
-    for f in facet_set:
+    for f in map(face_of, facet_masks):
         if lattice.dim(f) != d - 1:
             raise ValueError(f"facet {f} has dimension {lattice.dim(f)} != {d - 1}")
     singletons = {(v,) for v in lattice.top()}
     atoms = {f for f, fd in zip(lattice.faces, lattice.dims) if fd == 0}
     if atoms != singletons:
         raise ValueError("atoms of the closure are not the vertex singletons")
-    if not _graded(lattice):
-        raise ValueError("face closure is not graded")
-
-
-def _graded(lattice: FaceLattice) -> bool:
-    """Every cover relation steps dimension by exactly one.
-
-    A pair x < y is a cover iff nothing lies strictly between; counting
-    the faces weakly between x and y via one matrix product makes covers
-    the pairs with between-count exactly two.
-    """
-    sub = lattice._sub
-    dims = np.asarray(lattice.dims)
-    count = len(lattice.faces)
-    zf = sub.astype(np.float32)
-    for start in range(0, count, _CHUNK):
-        rows = slice(start, min(start + _CHUNK, count))
-        between = zf[rows] @ zf
-        strict = sub[rows] & (dims[rows.start : rows.stop, None] < dims[None, :])
-        covers = strict & (between == 2.0)
-        jumps = dims[None, :] - dims[rows.start : rows.stop, None]
-        if np.any(covers & (jumps != 1)):
-            return False
-    return True
 
 
 def euler_check(lattice: FaceLattice) -> bool:
     """Eulerian test: the Moebius function must alternate by rank.
 
-    Equivalent matrix form: with Z the reflexive containment matrix and
-    s the rank signs (-1)^dim, the product Z diag(s) Z must be diag(s).
-    Exact in float32 since all entries stay far below 2**24.
+    Equivalently, every interval [x, y] with x < y holds as many faces of
+    even dimension as of odd; this is tested for every comparable pair,
+    not only for the intervals of length two.
     """
-    sub = lattice._sub
-    dims = np.asarray(lattice.dims)
-    count = len(lattice.faces)
-    signs = np.where(dims % 2 == 0, 1.0, -1.0).astype(np.float32)
-    zf = sub.astype(np.float32)
-    signed = signs[:, None] * zf
-    for start in range(0, count, _CHUNK):
-        rows = slice(start, min(start + _CHUNK, count))
-        prod = zf[rows] @ signed
-        expect = np.zeros_like(prod)
-        idx = np.arange(rows.start, rows.stop)
-        expect[np.arange(len(idx)), idx] = signs[idx]
-        if not np.array_equal(prod, expect):
-            return False
+    even = 0
+    for row, fd in enumerate(lattice.dims):
+        if fd % 2 == 0:
+            even |= 1 << row
+    up = lattice._up
+    for y, below in enumerate(lattice._down):
+        below_even = below & even
+        for x in _rows(below ^ (1 << y)):
+            if 2 * (up[x] & below_even).bit_count() != (up[x] & below).bit_count():
+                return False
     return True
 
 
 def lattice_from_json(text: str) -> FaceLattice:
-    """Rebuild a lattice from its canonical JSON document."""
+    """Rebuild a lattice from its canonical JSON document.
+
+    The lattice is rebuilt from the stored facets (the faces stored at
+    dimension d-1); any stored face or dimension that differs is refused.
+    """
     doc = json.loads(text)
     faces = [tuple(f) for f in doc["faces"]]
     dims = list(doc["dims"])
     d = doc["d"]
-    facet_rows = [i for i, fd in enumerate(dims) if fd == d - 1]
-    lattice = FaceLattice(faces, dims, d, doc["n"], facet_rows)
-    recomputed = _longest_chain_dims(lattice._masks)
-    if list(recomputed) != dims:
-        raise ValueError("stored dimensions disagree with the containment order")
+    lattice = build_face_lattice([f for f, fd in zip(faces, dims) if fd == d - 1], d)
+    if list(lattice.faces) != faces or list(lattice.dims) != dims or lattice.n != doc["n"]:
+        raise ValueError("stored faces or dimensions disagree with the closure of the stored facets")
     return lattice

@@ -19,8 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
 from .combinat import (
     Interval,
     Params,
@@ -182,14 +180,14 @@ def verify_shelling_partition(
 
     The empty face belongs to step 1.  Returns (ok, witness).
     """
-    counts = np.zeros(len(lattice), dtype=np.int64)
+    counts = [0] * len(lattice)
     for step in steps:
-        counts[lattice.interval_rows(step.new_face, step.facet)] += 1
-    expected = np.ones(len(lattice), dtype=np.int64)
-    expected[-1] = 0
-    bad = np.flatnonzero(counts != expected)
-    if bad.size:
-        return False, lattice.faces[int(bad[0])]
+        for r in lattice.interval_rows(step.new_face, step.facet):
+            counts[r] += 1
+    expected = [1] * (len(lattice) - 1) + [0]
+    for face, got, want in zip(lattice.faces, counts, expected):
+        if got != want:
+            return False, face
     return True, None
 
 
@@ -203,22 +201,24 @@ def boolean_interval_check(lattice: FaceLattice, bottom: VertexSet, top: VertexS
     c = lattice.dim(top) - lattice.dim(bottom)
     if len(rows) != 2**c:
         return False
-    dims = np.asarray(lattice.dims)
     bottom_dim = lattice.dim(bottom)
-    atom_rows = [r for r in rows.tolist() if dims[r] == bottom_dim + 1]
+    atom_rows = [r for r in rows if lattice.dims[r] == bottom_dim + 1]
     if len(atom_rows) != c:
         return False
-    interval_masks = lattice._masks[rows]
-    atom_masks = [int(lattice._masks[r]) for r in atom_rows]
-    bottom_mask = int(lattice._masks[lattice.index(bottom)])
+    interval_masks = [lattice._masks[r] for r in rows]
+    atom_masks = [lattice._masks[r] for r in atom_rows]
+    bottom_mask, top_mask = interval_masks[0], interval_masks[-1]
     joins: set[int] = set()
     for bits in range(2**c):
         union = bottom_mask
         for t in range(c):
             if bits >> t & 1:
                 union |= atom_masks[t]
-        covering = interval_masks[(interval_masks & np.uint64(union)) == union]
-        joins.add(int(np.bitwise_and.reduce(covering)))
+        join = top_mask
+        for m in interval_masks:
+            if m & union == union:
+                join &= m
+        joins.add(join)
     return len(joins) == 2**c
 
 

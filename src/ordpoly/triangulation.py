@@ -17,8 +17,6 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
 
-import numpy as np
-
 from .combinat import (
     Interval,
     Params,
@@ -151,10 +149,9 @@ def shallowness_check(
         for size in range(1, len(simplex) + 1):
             faces.update(combinations(simplex, size))
     ordered = sorted(faces)
-    masks = np.array([mask_of(f) for f in ordered], dtype=np.uint64)
-    carrier_dims = lattice.carrier_dims(masks)
+    carrier_dims = lattice.carrier_dims([mask_of(f) for f in ordered])
     for face, cdim in zip(ordered, carrier_dims):
-        if int(cdim) > 2 * (len(face) - 1):
+        if cdim > 2 * (len(face) - 1):
             return False, face
     return True, None
 

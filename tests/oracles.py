@@ -41,7 +41,7 @@ def antistar_new_faces(bundle) -> list[tuple[int, ...] | None]:
     for j, f in enumerate(facets):
         rows = lattice.downset(lattice.index(f))
         fresh = []
-        for r in rows.tolist():
+        for r in rows:
             face = lattice.faces[r]
             if lattice.dim(face) > lattice.d - 1:
                 continue

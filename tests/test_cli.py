@@ -1,9 +1,13 @@
 """Command-line contract: byte-stable tables, JSON schemas, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import ordpoly
 from ordpoly.cli import main
 
 TABLE1_TEXT = """\
@@ -102,6 +106,31 @@ class TestHvector:
         assert out.strip().endswith("1 4 5 3 2 1")
 
 
+class TestWideLabels:
+    """Labels above 62 take every route, the lattice ones included."""
+
+    def test_hvector_all(self, capsys):
+        code, out, _ = run(capsys, "hvector", "5", "6", "70", "--method", "all")
+        assert code == 0
+        lines = out.strip().split("\n")
+        assert lines[-1] == "agreement: yes"
+        vectors = {line.split(None, 1)[1] for line in lines[:-1]}
+        assert vectors == {"1 66 131 131 66 1"}
+
+    def test_hvector_closed_json(self, capsys):
+        code, out, _ = run(
+            capsys, "hvector", "5", "6", "70", "--method", "closed", "--format", "json"
+        )
+        assert code == 0
+        assert json.loads(out)["h"] == [1, 66, 131, 131, 66, 1]
+
+    def test_verify(self, capsys):
+        code, out, _ = run(capsys, "verify", "5", "6", "70")
+        assert code == 0
+        assert "FAIL" not in out
+        assert out.count("PASS") == 21
+
+
 class TestBijection:
     def test_six_rows(self, capsys):
         code, out, _ = run(capsys, "bijection", "7", "9", "15", "--i", "3")
@@ -198,3 +227,37 @@ class TestOneBuildPerCall:
         code, _, _ = run(capsys, "hvector", "5", "6", "8", "--format", "json")
         assert code == 0
         assert len(calls) == 1
+
+
+class TestFaceCap:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("facets", "5", "6", "8"),
+            ("shell", "5", "6", "8"),
+            ("triangulate", "5", "6", "8"),
+            ("hvector", "5", "6", "8"),
+            ("bijection", "7", "9", "15", "--i", "3"),
+            ("multiplex", "5", "5", "8"),
+            ("verify", "5", "6", "8"),
+        ],
+    )
+    def test_bad_cap_is_a_bad_argument(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("ORDPOLY_MAX_FACES", "abc")
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "ORDPOLY_MAX_FACES" in err
+
+    def test_small_cap_fails_the_lattice_checks(self, capsys, monkeypatch):
+        monkeypatch.setenv("ORDPOLY_MAX_FACES", "100")
+        code, out, _ = run(capsys, "verify", "7", "9", "12")
+        assert code == 1
+        assert out.count("FAIL") == 13
+
+
+def test_import_leaves_numpy_unloaded():
+    src = os.path.dirname(os.path.dirname(ordpoly.__file__))
+    probe = "import ordpoly.cli, sys; sys.exit('numpy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    assert subprocess.run([sys.executable, "-c", probe], env=env).returncode == 0
