@@ -8,18 +8,18 @@ and round-trips the bijection behind the count.
 """
 
 from itertools import combinations
+from math import comb
 
 from ordpoly import (
     InstanceBundle,
     Params,
     bijection_records,
-    bijection_table_text,
+    cli,
     count_by_size,
     facet_to_subset,
     subset_to_facet,
     toric_h,
 )
-from math import comb
 
 
 def main() -> None:
@@ -49,7 +49,8 @@ def main() -> None:
     i = 3
     print(f"The {count_by_size(p, i)} simplices with a size-{i} new face, decomposed:")
     print()
-    print(bijection_table_text(p, i))
+    assert cli.main(["bijection", "7", "9", "15", "--i", str(i)]) == 0
+    print()
     print()
 
     print("Round-tripping the bijection for i = 3:")

@@ -5,7 +5,7 @@ facets apart to show where each minimal new face comes from, and closes
 by certifying the order three independent ways.
 """
 
-from ordpoly import InstanceBundle, Params, shelling_table_text
+from ordpoly import InstanceBundle, Params, cli
 from ordpoly.shelling import (
     decompose_facet,
     minimal_new_face_nonrecursive,
@@ -37,7 +37,8 @@ def main() -> None:
     print(f"P^{{{p.d},{p.k},{p.n}}} has {len(b.facets)} facets.")
     print("Colex order with each step's minimal new face G:")
     print()
-    print(shelling_table_text(p))
+    assert cli.main(["shell", "5", "6", "8"]) == 0
+    print()
     print()
 
     print("Reading two steps off the table:")
@@ -55,7 +56,7 @@ def main() -> None:
         assert step.new_face == minimal_new_face_recursive(step.facet, p)
     print("True")
 
-    topo = verify_shelling_topological(b.lattice, b.facets)
+    topo = verify_shelling_topological(b.facets, p.d)
     print(f"  order passes the from-scratch shelling definition: {topo}")
     assert topo
 

@@ -8,7 +8,6 @@ polytopes, and cross-checks every quantity by independent routes.
 from .bijection import (
     BijectionRecord,
     bijection_records,
-    bijection_table_text,
     count_by_size,
     decompose_step_simplex,
     facet_to_subset,
@@ -33,7 +32,6 @@ from .hvector import (
     h_to_polynomial,
     multiplicial_h,
     shelling_contributions,
-    toric_g,
     toric_h,
 )
 from .lattice import FaceLattice, build_face_lattice, euler_check, lattice_from_json
@@ -51,7 +49,6 @@ from .shelling import (
     colex_shelling,
     minimal_new_face_nonrecursive,
     minimal_new_face_recursive,
-    shelling_table_text,
     verify_shelling_partition,
     verify_shelling_topological,
 )
@@ -62,7 +59,6 @@ from .triangulation import (
     shelling_restriction_faces,
     simplicial_h,
     triangulation_shelling,
-    triangulation_table_text,
 )
 from .verify import CheckResult, InstanceBundle, grid_instances, verify_instance
 
@@ -79,7 +75,6 @@ __all__ = [
     "ShellingStep",
     "TriangulationStep",
     "bijection_records",
-    "bijection_table_text",
     "boundary_triangulation",
     "build_face_lattice",
     "colex_key",
@@ -116,13 +111,10 @@ __all__ = [
     "shallowness_check",
     "shelling_contributions",
     "shelling_restriction_faces",
-    "shelling_table_text",
     "simplicial_h",
     "subset_to_facet",
-    "toric_g",
     "toric_h",
     "triangulation_shelling",
-    "triangulation_table_text",
     "verify_instance",
     "verify_shelling_partition",
     "verify_shelling_topological",

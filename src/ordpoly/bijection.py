@@ -24,7 +24,6 @@ from .combinat import (
     run_containing,
 )
 from .ordinary import enumerate_facets
-from .shelling import face_digits
 from .triangulation import TriangulationStep, triangulation_shelling
 
 
@@ -234,54 +233,3 @@ def bijection_records(p: Params, i: int) -> list[BijectionRecord]:
             )
         out.append(record)
     return out
-
-
-# -- table emitters -------------------------------------------------------
-
-
-def bijection_table_rows(p: Params, i: int) -> list[dict]:
-    return [
-        {
-            "T": list(r.simplex),
-            "U": list(r.new_face),
-            "b": r.b,
-            "c": r.c,
-            "e": r.e,
-            "Y": list(r.Y),
-            "a1": r.a1,
-            "x": list(r.x_values),
-            "y": list(r.y_counts),
-            "A": list(r.A),
-        }
-        for r in bijection_records(p, i)
-    ]
-
-
-def bijection_table_text(p: Params, i: int) -> str:
-    n = p.n
-    records = bijection_records(p, i)
-    grid_width = 2 * (n + 1)
-    title = "T (new-face vertices starred)"
-    y_cells = [face_digits(r.Y, n) for r in records]
-    x_cells = [face_digits(r.x_values, n) for r in records]
-    c_cells = [",".join(str(v) for v in r.y_counts) for r in records]
-    wy = max([1] + [len(s) for s in y_cells])
-    wx = max([1] + [len(s) for s in x_cells])
-    wc = max([1] + [len(s) for s in c_cells])
-    lines = [
-        f"  #  {title:<{grid_width}}   b   c   e  {'Y':<{wy}}  a1  "
-        f"{'x':<{wx}}  {'y':<{wc}}  A"
-    ]
-    for idx, r in enumerate(records, 1):
-        new = set(r.new_face)
-        members = set(r.simplex)
-        grid = "".join(
-            (str(v % 10) + ("*" if v in new else " ")) if v in members else "  "
-            for v in range(n + 1)
-        )
-        lines.append(
-            f"{idx:>3}  {grid}  {r.b:>2}  {r.c:>2}  {r.e:>2}  "
-            f"{y_cells[idx - 1]:<{wy}}  {r.a1:>2}  {x_cells[idx - 1]:<{wx}}  "
-            f"{c_cells[idx - 1]:<{wc}}  {face_digits(r.A, n)}"
-        )
-    return "\n".join(lines) + "\n"

@@ -1,6 +1,8 @@
 """Command-line surface: tables, h-vectors, and the verification suite.
 
-All text output is deterministic byte for byte: orderings are fixed by
+Every rendering decision lives here: each verb builds one list of row
+tuples from an ``InstanceBundle`` and renders it as text, JSON records or
+CSV.  All output is deterministic byte for byte: orderings are fixed by
 colex or step index, and JSON is emitted with sorted keys.  Exit codes:
 0 success, 1 verification or agreement failure, 2 argument errors.
 """
@@ -10,8 +12,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
-from .bijection import bijection_table_rows, bijection_table_text
+from .bijection import bijection_records
 from .combinat import Params
 from .lattice import _max_faces
 from .multiplex import (
@@ -19,12 +22,6 @@ from .multiplex import (
     multiplex_facets,
     multiplex_g,
     multiplex_triangulation,
-)
-from .shelling import colex_shelling, presence_grid, shelling_table_rows, shelling_table_text
-from .triangulation import (
-    triangulation_shelling,
-    triangulation_table_rows,
-    triangulation_table_text,
 )
 from .verify import H_ROUTES, InstanceBundle, grid_instances, h_routes, verify_instance
 
@@ -37,18 +34,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Ordinary polytopes: facets, shellings, triangulations, "
         "toric h-vectors, and cross-verification.",
     )
-    parser.add_argument(
-        "verb",
-        choices=[
-            "facets",
-            "shell",
-            "triangulate",
-            "hvector",
-            "bijection",
-            "multiplex",
-            "verify",
-        ],
-    )
+    parser.add_argument("verb", choices=list(_VERBS))
     parser.add_argument("d", type=int)
     parser.add_argument("k", type=int)
     parser.add_argument("n", type=int)
@@ -68,225 +54,233 @@ def _fail_args(message: str) -> int:
     return 2
 
 
+# -- renderers --------------------------------------------------------------
+
+
 def _dump(doc) -> str:
     return json.dumps(doc, sort_keys=True)
 
 
-def _vertices(face) -> str:
-    return " ".join(str(v) for v in face)
+def _envelope(p: Params, **fields) -> dict:
+    """A JSON document naming its instance."""
+    return {"d": p.d, "k": p.k, "n": p.n, **fields}
+
+
+def _cell(value) -> str:
+    """One CSV cell or text column: a vertex set or vector is space-joined."""
+    return " ".join(str(v) for v in value) if isinstance(value, tuple) else str(value)
+
+
+def _csv(columns: str, rows) -> str:
+    return "\n".join([columns, *(",".join(_cell(v) for v in row) for row in rows)])
+
+
+def _records(columns: str, rows) -> list[dict]:
+    return [dict(zip(columns.split(","), row)) for row in rows]
 
 
 def _axis(n: int) -> str:
     return "".join(str(v % 10) for v in range(n + 1))
 
 
-def _run_facets(p: Params, fmt: str) -> tuple[int, str]:
-    b = InstanceBundle(p)
-    facets = b.facets
+def _grid(face, n: int) -> str:
+    """Vertex v printed as its last digit at column v, blank elsewhere."""
+    members = set(face)
+    return "".join(str(v % 10) if v in members else " " for v in range(n + 1))
+
+
+def _digits(face, n: int) -> str:
+    """Compact rendering of a face: digit string for n <= 9, else commas."""
+    if not face:
+        return "-"
+    return ("" if n <= 9 else ",").join(str(v) for v in face)
+
+
+def _table(p: Params, fmt: str, key: str, columns: str, rows, text, **extra) -> str:
+    """Rows as JSON records under ``key``, as CSV, or as ``text(rows)`` lines."""
     if fmt == "json":
-        doc = {
-            "d": p.d,
-            "k": p.k,
-            "n": p.n,
-            "facets": [list(f) for f in facets],
-            "lattice": json.loads(b.lattice.to_json()),
-        }
-        return 0, _dump(doc)
+        return _dump(_envelope(p, **extra, **{key: _records(columns, rows)}))
     if fmt == "csv":
-        lines = ["j,facet"]
-        lines += [f"{j},{_vertices(f)}" for j, f in enumerate(facets, 1)]
-        return 0, "\n".join(lines)
-    lines = [f"  j  {_axis(p.n)}"]
-    lines += [f"{j:>3}  {presence_grid(f, p.n)}" for j, f in enumerate(facets, 1)]
+        return _csv(columns, rows)
+    return "\n".join(text(rows))
+
+
+# -- verbs ------------------------------------------------------------------
+
+
+def _run_facets(b: InstanceBundle, args) -> tuple[int, str]:
+    rows = list(enumerate(b.facets, 1))
+    if args.format == "json":
+        lattice = json.loads(b.lattice.to_json())
+        return 0, _dump(_envelope(b.p, facets=b.facets, lattice=lattice))
+    if args.format == "csv":
+        return 0, _csv("j,facet", rows)
+    n = b.p.n
+    lines = [f"  j  {_axis(n)}", *(f"{j:>3}  {_grid(f, n)}" for j, f in rows)]
     return 0, "\n".join(lines)
 
 
-def _run_shell(p: Params, fmt: str) -> tuple[int, str]:
-    if fmt == "json":
-        doc = {"d": p.d, "k": p.k, "n": p.n, "steps": shelling_table_rows(p)}
-        return 0, _dump(doc)
-    if fmt == "csv":
-        lines = ["j,F,G"]
-        lines += [
-            f"{s.index},{_vertices(s.facet)},{_vertices(s.new_face)}"
-            for s in colex_shelling(p)
+def _run_shell(b: InstanceBundle, args) -> tuple[int, str]:
+    n = b.p.n
+    rows = [(s.index, s.facet, s.new_face) for s in b.steps]
+
+    def text(rows):
+        yield f"  j  {_axis(n)}  G"
+        for j, facet, new_face in rows:
+            yield f"{j:>3}  {_grid(facet, n)}  {_digits(new_face, n)}"
+
+    return 0, _table(b.p, args.format, "steps", "j,F,G", rows, text)
+
+
+def _run_triangulate(b: InstanceBundle, args) -> tuple[int, str]:
+    n = b.p.n
+    rows = [(s.facet_index, s.window_index, s.simplex, s.new_face) for s in b.tri_steps]
+
+    def text(rows):
+        yield f"  j  l  {_axis(n)}  U"
+        for j, ell, simplex, new_face in rows:
+            yield f"{j:>3} {ell:>2}  {_grid(simplex, n)}  {_digits(new_face, n)}"
+
+    return 0, _table(b.p, args.format, "steps", "j,l,T,U", rows, text)
+
+
+def _run_bijection(b: InstanceBundle, args) -> tuple[int, str]:
+    n = b.p.n
+    columns = "T,U,b,c,e,Y,a1,x,y,A"
+    rows = [
+        (r.simplex, r.new_face, r.b, r.c, r.e, r.Y, r.a1, r.x_values, r.y_counts, r.A)
+        for r in bijection_records(b.p, args.i)
+    ]
+
+    def text(rows):
+        records = _records(columns, rows)
+        cells = [
+            (_digits(r["Y"], n), _digits(r["x"], n), ",".join(str(v) for v in r["y"]))
+            for r in records
         ]
-        return 0, "\n".join(lines)
-    return 0, shelling_table_text(p).rstrip("\n")
+        wy, wx, wc = (max([1] + [len(c[t]) for c in cells]) for t in range(3))
+        title = "T (new-face vertices starred)"
+        yield (
+            f"  #  {title:<{2 * (n + 1)}}   b   c   e  {'Y':<{wy}}  a1  "
+            f"{'x':<{wx}}  {'y':<{wc}}  A"
+        )
+        for idx, (r, (ys, xs, cs)) in enumerate(zip(records, cells), 1):
+            grid = "".join(
+                (str(v % 10) + ("*" if v in r["U"] else " ")) if v in r["T"] else "  "
+                for v in range(n + 1)
+            )
+            yield (
+                f"{idx:>3}  {grid}  {r['b']:>2}  {r['c']:>2}  {r['e']:>2}  "
+                f"{ys:<{wy}}  {r['a1']:>2}  {xs:<{wx}}  {cs:<{wc}}  "
+                f"{_digits(r['A'], n)}"
+            )
+
+    return 0, _table(b.p, args.format, "rows", columns, rows, text, i=args.i)
 
 
-def _run_triangulate(p: Params, fmt: str) -> tuple[int, str]:
-    if fmt == "json":
-        doc = {"d": p.d, "k": p.k, "n": p.n, "steps": triangulation_table_rows(p)}
-        return 0, _dump(doc)
-    if fmt == "csv":
-        lines = ["j,l,T,U"]
-        lines += [
-            f"{s.facet_index},{s.window_index},{_vertices(s.simplex)},"
-            f"{_vertices(s.new_face)}"
-            for s in triangulation_shelling(p)
-        ]
-        return 0, "\n".join(lines)
-    return 0, triangulation_table_text(p).rstrip("\n")
-
-
-def _run_hvector(p: Params, fmt: str, method: str) -> tuple[int, str]:
-    b = InstanceBundle(p)
+def _run_hvector(b: InstanceBundle, args) -> tuple[int, str]:
+    p, method = b.p, args.method or "all"
     try:
         routes = h_routes(b, method)
     except ValueError as exc:
         return 2, f"error: {exc}"
     agree = len(set(routes.values())) == 1
     code = 0 if agree else 1
-    if fmt == "json":
-        h = next(iter(routes.values())) if agree else None
-        doc = {
-            "d": p.d,
-            "k": p.k,
-            "n": p.n,
-            "h": list(h) if h is not None else None,
-            "h_prime": list(b.h_prime),
-            "a": {
-                str(j): [poly.coefficient(p.d - i) for i in range(p.d + 1)]
-                for j, poly in sorted(b.contributions.items())
-            },
+    if args.format == "json":
+        a = {
+            str(j): [poly.coefficient(p.d - i) for i in range(p.d + 1)]
+            for j, poly in sorted(b.contributions.items())
         }
-        return code, _dump(doc)
-    if fmt == "csv":
-        lines = ["method,h"]
-        lines += [f"{name},{_vertices(h)}" for name, h in routes.items()]
-        return code, "\n".join(lines)
-    lines = [f"{name:<13}  {_vertices(h)}" for name, h in routes.items()]
+        h = next(iter(routes.values())) if agree else None
+        return code, _dump(_envelope(p, h=h, h_prime=b.h_prime, a=a))
+    if args.format == "csv":
+        return code, _csv("method,h", routes.items())
+    lines = [f"{name:<13}  {_cell(h)}" for name, h in routes.items()]
     if method == "all":
         lines.append(f"agreement: {'yes' if agree else 'NO'}")
     return code, "\n".join(lines)
 
 
-def _run_bijection(p: Params, fmt: str, i: int) -> tuple[int, str]:
-    if fmt == "json":
-        doc = {"d": p.d, "k": p.k, "n": p.n, "i": i, "rows": bijection_table_rows(p, i)}
-        return 0, _dump(doc)
-    if fmt == "csv":
-        lines = ["T,U,b,c,e,Y,a1,x,y,A"]
-        for row in bijection_table_rows(p, i):
-            lines.append(
-                ",".join(
-                    [
-                        _vertices(row["T"]),
-                        _vertices(row["U"]),
-                        str(row["b"]),
-                        str(row["c"]),
-                        str(row["e"]),
-                        _vertices(row["Y"]),
-                        str(row["a1"]),
-                        _vertices(row["x"]),
-                        _vertices(row["y"]),
-                        _vertices(row["A"]),
-                    ]
-                )
-            )
-        return 0, "\n".join(lines)
-    return 0, bijection_table_text(p, i).rstrip("\n")
-
-
-def _run_multiplex(p: Params, fmt: str) -> tuple[int, str]:
-    d, n = p.d, p.n
+def _run_multiplex(b: InstanceBundle, args) -> tuple[int, str]:
+    d, n = b.p.d, b.p.n
     facets = multiplex_facets(d, n)
     solid = multiplex_triangulation(d, n)
     boundary = multiplex_boundary_triangulation(d, n)
     g = multiplex_g(d, n + 1)
-    if fmt == "json":
+    if args.format == "json":
         doc = {
             "d": d,
             "n": n,
-            "facets": [list(f) for f in facets],
-            "solid": [list(t) for t in solid],
+            "facets": facets,
+            "solid": solid,
             "boundary": [
-                {"simplex": list(b.simplex), "tetra": b.tetra, "facet": b.facet}
-                for b in boundary
+                {"simplex": s.simplex, "tetra": s.tetra, "facet": s.facet}
+                for s in boundary
             ],
-            "g": list(g.coefficients),
+            "g": g.coefficients,
         }
         return 0, _dump(doc)
-    if fmt == "csv":
-        lines = ["kind,index,vertices"]
-        lines += [f"facet,{i},{_vertices(f)}" for i, f in enumerate(facets)]
-        lines += [f"solid,{i},{_vertices(t)}" for i, t in enumerate(solid)]
-        lines += [f"boundary,{i},{_vertices(b.simplex)}" for i, b in enumerate(boundary)]
-        return 0, "\n".join(lines)
-    axis = _axis(n)
-    lines = ["facets (retracted windows):", f"  i  {axis}"]
-    lines += [f"{i:>3}  {presence_grid(f, n)}" for i, f in enumerate(facets)]
+    if args.format == "csv":
+        rows = [("facet", i, f) for i, f in enumerate(facets)]
+        rows += [("solid", i, t) for i, t in enumerate(solid)]
+        rows += [("boundary", i, s.simplex) for i, s in enumerate(boundary)]
+        return 0, _csv("kind,index,vertices", rows)
+    lines = ["facets (retracted windows):", f"  i  {_axis(n)}"]
+    lines += [f"{i:>3}  {_grid(f, n)}" for i, f in enumerate(facets)]
     lines.append("solid triangulation:")
-    lines += [f"{i:>3}  {presence_grid(t, n)}" for i, t in enumerate(solid)]
+    lines += [f"{i:>3}  {_grid(t, n)}" for i, t in enumerate(solid)]
     lines.append("boundary triangulation (simplex, tetra, facet):")
     lines += [
-        f"{idx:>3}  {presence_grid(b.simplex, n)}  {b.tetra:>2} {b.facet:>2}"
-        for idx, b in enumerate(boundary, 1)
+        f"{idx:>3}  {_grid(s.simplex, n)}  {s.tetra:>2} {s.facet:>2}"
+        for idx, s in enumerate(boundary, 1)
     ]
-    coeffs = " ".join(str(c) for c in g.coefficients)
-    lines.append(f"g coefficients: {coeffs}")
+    lines.append(f"g coefficients: {_cell(g.coefficients)}")
     return 0, "\n".join(lines)
 
 
-def _result_lines(results) -> list[str]:
-    lines = []
-    for r in results:
-        if r.ok and r.detail:
-            lines.append(f"PASS {r.name} ({r.detail})")
-        elif r.ok:
-            lines.append(f"PASS {r.name}")
-        else:
-            lines.append(f"FAIL {r.name}: {r.detail}")
-    return lines
+def _result_line(r) -> str:
+    if not r.ok:
+        return f"FAIL {r.name}: {r.detail}"
+    return f"PASS {r.name} ({r.detail})" if r.detail else f"PASS {r.name}"
 
 
-def _run_verify(p: Params, fmt: str, grid: bool) -> tuple[int, str]:
-    targets = grid_instances() if grid else [p]
-    all_ok = True
-    blocks: list[str] = []
-    docs = []
-    for target in targets:
-        results = verify_instance(target)
-        ok = all(r.ok for r in results)
-        lines = _result_lines(results)
-        all_ok = all_ok and ok
-        if fmt == "json":
-            docs.append(
-                {
-                    "d": target.d,
-                    "k": target.k,
-                    "n": target.n,
-                    "checks": [
-                        {"name": r.name, "ok": r.ok, "detail": r.detail}
-                        for r in results
-                    ],
-                }
-            )
-        elif fmt == "csv":
-            for r in results:
-                status = "pass" if r.ok else "fail"
-                blocks.append(
-                    f"{target.d},{target.k},{target.n},{r.name},{status},{r.detail}"
-                )
-        else:
-            if grid:
-                verdict = "ok" if ok else "FAILED"
-                blocks.append(f"{target}: {verdict}")
-                if not ok:
-                    blocks += [f"  {line}" for line in lines if line.startswith("FAIL")]
-            else:
-                blocks += lines
+def _run_verify(b: InstanceBundle, args) -> tuple[int, str]:
+    targets = grid_instances() if args.grid else [b.p]
+    runs = [(t, verify_instance(t)) for t in targets]
+    all_ok = all(r.ok for _, results in runs for r in results)
     code = 0 if all_ok else 1
-    if fmt == "json":
-        doc = docs[0] if not grid else {"instances": docs}
-        return code, _dump(doc)
-    if fmt == "csv":
-        return code, "\n".join(["d,k,n,check,status,detail"] + blocks)
-    if grid:
-        total = len(targets)
-        blocks.append(f"{total} instances, {'all ok' if all_ok else 'FAILURES'}")
-    return code, "\n".join(blocks)
+    if args.format == "json":
+        docs = [
+            _envelope(t, checks=[asdict(r) for r in results]) for t, results in runs
+        ]
+        return code, _dump({"instances": docs} if args.grid else docs[0])
+    if args.format == "csv":
+        rows = [
+            (t.d, t.k, t.n, r.name, "pass" if r.ok else "fail", r.detail)
+            for t, results in runs
+            for r in results
+        ]
+        return code, _csv("d,k,n,check,status,detail", rows)
+    if not args.grid:
+        return code, "\n".join(_result_line(r) for r in runs[0][1])
+    lines = []
+    for t, results in runs:
+        failed = [r for r in results if not r.ok]
+        lines.append(f"{t}: {'FAILED' if failed else 'ok'}")
+        lines += [f"  {_result_line(r)}" for r in failed]
+    lines.append(f"{len(runs)} instances, {'all ok' if all_ok else 'FAILURES'}")
+    return code, "\n".join(lines)
+
+
+_VERBS = {
+    "facets": _run_facets,
+    "shell": _run_shell,
+    "triangulate": _run_triangulate,
+    "hvector": _run_hvector,
+    "bijection": _run_bijection,
+    "multiplex": _run_multiplex,
+    "verify": _run_verify,
+}
 
 
 def main(argv=None) -> int:
@@ -304,24 +298,11 @@ def main(argv=None) -> int:
 
     try:
         _max_faces()  # a malformed face cap is a bad argument for every verb
-        if args.verb == "facets":
-            code, out = _run_facets(p, args.format)
-        elif args.verb == "shell":
-            code, out = _run_shell(p, args.format)
-        elif args.verb == "triangulate":
-            code, out = _run_triangulate(p, args.format)
-        elif args.verb == "hvector":
-            code, out = _run_hvector(p, args.format, args.method or "all")
-        elif args.verb == "bijection":
-            if args.i is None:
-                return _fail_args("bijection needs --i")
-            code, out = _run_bijection(p, args.format, args.i)
-        elif args.verb == "multiplex":
-            if not p.is_multiplex:
-                return _fail_args(f"multiplex mode needs k = d, got {p}")
-            code, out = _run_multiplex(p, args.format)
-        else:
-            code, out = _run_verify(p, args.format, args.grid)
+        if args.verb == "bijection" and args.i is None:
+            return _fail_args("bijection needs --i")
+        if args.verb == "multiplex" and not p.is_multiplex:
+            return _fail_args(f"multiplex mode needs k = d, got {p}")
+        code, out = _VERBS[args.verb](InstanceBundle(p), args)
     except ValueError as exc:
         return _fail_args(str(exc))
 

@@ -87,12 +87,6 @@ def toric_h(lattice: FaceLattice) -> HVector:
     return h_list[-1]
 
 
-def toric_g(lattice: FaceLattice, face: VertexSet | None = None) -> IntPolynomial:
-    """Toric g-polynomial of a face (default: the whole polytope)."""
-    _, g_list = toric_tables(lattice)
-    return IntPolynomial(g_list[-1 if face is None else lattice.index(face)])
-
-
 # -- closed form ----------------------------------------------------------
 
 

@@ -344,9 +344,7 @@ class _SegmentChecker:
 _checker = _SegmentChecker()
 
 
-def verify_shelling_topological(
-    lattice: FaceLattice, facet_order: list[VertexSet]
-) -> bool:
+def verify_shelling_topological(facet_order: list[VertexSet], d: int) -> bool:
     """Certify a facet order as a shelling straight from the definition.
 
     For each facet past the first: its intersections with the earlier
@@ -354,12 +352,12 @@ def verify_shelling_topological(
     facets, that ridge set must be nonempty, and it must be orderable as
     the start of a shelling of the facet's own boundary (recursively).
     Ridges come from the facet's own multiplex structure in position
-    space, so only the vertex sets are needed.
+    space, so only the vertex sets and the dimension ``d`` of the
+    polytope are needed; no face lattice is read.
 
     The state budget is charged per call; the search memo is shared by
     all calls, so earlier calls can only make this one cheaper.
     """
-    d = lattice.d
     _checker.states = 0
     earlier: list[int] = []
     for face in facet_order:
@@ -372,39 +370,3 @@ def verify_shelling_topological(
                 return False
         earlier.append(cell)
     return True
-
-
-# -- table emitters -------------------------------------------------------
-
-
-def presence_grid(face: VertexSet, n: int) -> str:
-    """Vertex v printed as its last digit at column v, blank elsewhere."""
-    return "".join(str(v % 10) if v in set(face) else " " for v in range(n + 1))
-
-
-def face_digits(face: VertexSet, n: int) -> str:
-    """Compact rendering of a face: digit string for n <= 9, else commas."""
-    if not face:
-        return "-"
-    if n <= 9:
-        return "".join(str(v) for v in face)
-    return ",".join(str(v) for v in face)
-
-
-def shelling_table_rows(p: Params) -> list[dict]:
-    return [
-        {"j": s.index, "F": list(s.facet), "G": list(s.new_face)}
-        for s in colex_shelling(p)
-    ]
-
-
-def shelling_table_text(p: Params) -> str:
-    n = p.n
-    steps = colex_shelling(p)
-    header_axis = "".join(str(v % 10) for v in range(n + 1))
-    lines = [f"  j  {header_axis}  G"]
-    for s in steps:
-        lines.append(
-            f"{s.index:>3}  {presence_grid(s.facet, n)}  {face_digits(s.new_face, n)}"
-        )
-    return "\n".join(lines) + "\n"

@@ -30,7 +30,7 @@ from .combinat import (
 )
 from .hvector import HVector, new_face_counts
 from .lattice import FaceLattice
-from .shelling import colex_shelling, face_digits, presence_grid
+from .shelling import colex_shelling
 
 
 @dataclass(frozen=True)
@@ -154,30 +154,3 @@ def shallowness_check(
         if cdim > 2 * (len(face) - 1):
             return False, face
     return True, None
-
-
-# -- table emitters -------------------------------------------------------
-
-
-def triangulation_table_rows(p: Params) -> list[dict]:
-    return [
-        {
-            "j": s.facet_index,
-            "l": s.window_index,
-            "T": list(s.simplex),
-            "U": list(s.new_face),
-        }
-        for s in triangulation_shelling(p)
-    ]
-
-
-def triangulation_table_text(p: Params) -> str:
-    n = p.n
-    header_axis = "".join(str(v % 10) for v in range(n + 1))
-    lines = [f"  j  l  {header_axis}  U"]
-    for s in triangulation_shelling(p):
-        lines.append(
-            f"{s.facet_index:>3} {s.window_index:>2}  "
-            f"{presence_grid(s.simplex, n)}  {face_digits(s.new_face, n)}"
-        )
-    return "\n".join(lines) + "\n"

@@ -17,6 +17,7 @@ from .bijection import bijection_records, count_by_size, subset_to_facet
 from .combinat import Params, VertexSet, colex_key
 from .hvector import (
     HVector,
+    contribution_total,
     h_closed_form,
     h_prime_from_f,
     h_prime_from_shelling,
@@ -207,7 +208,7 @@ def _check_topological(b: InstanceBundle) -> str:
     if p.n > p.k + 4 or p.d > 7:
         return "skipped: instance above the search gate"
     order = [s.facet for s in b.steps]
-    if not verify_shelling_topological(b.lattice, order):
+    if not verify_shelling_topological(order, p.d):
         return "colex order fails the definition-level shelling test"
     return ""
 
@@ -269,7 +270,7 @@ def _check_sum_h(b: InstanceBundle) -> str:
 def _check_contributions(b: InstanceBundle) -> str:
     d = b.p.d
     total = h_to_polynomial(b.h) - h_to_polynomial(b.h_prime)
-    acc = sum(b.contributions.values(), start=IntPolynomial.zero())
+    acc = contribution_total(b.contributions)
     if acc != total:
         return f"sum of contributions {acc} != h - h' {total}"
     by_index = {s.index: s for s in b.steps}

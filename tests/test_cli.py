@@ -1,5 +1,6 @@
 """Command-line contract: byte-stable tables, JSON schemas, exit codes."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -31,10 +32,67 @@ TABLE1_TEXT = """\
 """
 
 
+# (argv, exit code, SHA-256 of stdout): every verb in every format, plus
+# the comma digit form that n > 9 switches to.
+GOLDEN = [
+    ("facets 5 6 8 --format text", 0, "018b7898110bfb6a3b5c7adcb6dbfa9a89382d4374b7444df7b0e10363e85515"),
+    ("facets 5 6 8 --format json", 0, "a129032fc7d0829495c8f4692732aa94ef7160d19c6653b6a0c30a93f94a5627"),
+    ("facets 5 6 8 --format csv", 0, "1cd57ddc2f4e7c7d4951284d131c70741ce74b82cacee188be37dcbf5faff80a"),
+    ("shell 5 6 8 --format text", 0, "9a3abd749e1984cd468a848c8d02e79940ef5489f9c206da0909bad99cbb8b76"),
+    ("shell 5 6 8 --format json", 0, "0cb4bc1d2ca0a690dec531aa0887c415c45daa797165e2db21249b6daed1a9a0"),
+    ("shell 5 6 8 --format csv", 0, "2281958c122608de9e4b8a54bd9fe35ac16ef42a8d5bfee48a5f66c1493b6eff"),
+    ("triangulate 5 6 8 --format text", 0, "44175e76024ad376146b6e8ae450488a675f282c60fa4788543601630a999a64"),
+    ("triangulate 5 6 8 --format json", 0, "88236e92eb2d863c534e89ab12f3664f5dce6f2527cd3aea2f697874d04b83c6"),
+    ("triangulate 5 6 8 --format csv", 0, "b59b9a5a5876276c484795372e9e94f548bb80d24275ec6da70a12e95803f08f"),
+    ("hvector 5 6 8 --format text", 0, "74b21d8cb933c62a7453f415ef41a8d23e44f18f1fe92b2342dd6512546543b6"),
+    ("hvector 5 6 8 --format json", 0, "e5e27d86370acdbc6c14b16a4e47438ad21c7a6400952f632b7531de08fc92b4"),
+    ("hvector 5 6 8 --format csv", 0, "a89545093d6c8949d20c139ef554f1e845029d1f2698b47f99c9175c33833dbe"),
+    ("bijection 7 9 15 --i 3 --format text", 0, "e9c852c822bc9f773efd510aa4627e78f5126646662d0356e04ec7de0e63901a"),
+    ("bijection 7 9 15 --i 3 --format json", 0, "13a91ac5a1ed98edbd66822c3e488ceb50b80fe0554cf1ce0aebbba3c67e7ed4"),
+    ("bijection 7 9 15 --i 3 --format csv", 0, "21b8eb16ddb820e06c5e55485a680b80b0ca768c2327405ac2f4911ae42db03a"),
+    ("multiplex 5 5 8 --format text", 0, "8d5a35a4389fd07c50b45a368f143b70ea041ffb4f3296af15b81ed53165f3ca"),
+    ("multiplex 5 5 8 --format json", 0, "10c932ea1d6597f5e2d5414d205c8890df533e34a4982c4db772b6f88084574b"),
+    ("multiplex 5 5 8 --format csv", 0, "beeb2d79b83996503651a42df7bb53c9f8c054c46e33a593b2eae22e3957a5f2"),
+    ("verify 5 6 8 --format text", 0, "1d035fc4626c50e486daffaf01b7f1a1d80088ec06714a238deb3a1c96ab9297"),
+    ("verify 5 6 8 --format json", 0, "44d3aa295b95755e53d96fc8f9917dab21259eea909b2a788d2e725eef7abb7a"),
+    ("verify 5 6 8 --format csv", 0, "5e7d70c1d34d1ed54380cff541bbaf96cc4f47d9aeb9a7cc693ff643773bca10"),
+    ("shell 7 9 15", 0, "45e4348e8d90db5002a919d9f99f607e6b2ed729fb7fd181c4e8e123b9ab540e"),
+    ("triangulate 7 9 15", 0, "6f8326bfc1d85db03ee10aad5d6f94468c510ad96216e3729bed2b6b35d827ee"),
+]
+
+
+# The checks that read the face lattice, in suite order.
+LATTICE_CHECKS = [
+    "lattice_build",
+    "eulerian",
+    "facet_g",
+    "shelling_partition",
+    "boolean_intervals",
+    "four_way_h",
+    "h_symmetric",
+    "h_vs_h_prime",
+    "h_prime_routes",
+    "sum_h",
+    "contributions",
+    "shallow",
+]
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize(
+    ("argv", "code", "digest"),
+    GOLDEN,
+    ids=["_".join(argv.replace("--", "").split()) for argv, _, _ in GOLDEN],
+)
+def test_golden_output(capsys, argv, code, digest):
+    got, out, _ = run(capsys, *argv.split())
+    assert got == code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestShell:
@@ -253,7 +311,9 @@ class TestFaceCap:
         monkeypatch.setenv("ORDPOLY_MAX_FACES", "100")
         code, out, _ = run(capsys, "verify", "7", "9", "12")
         assert code == 1
-        assert out.count("FAIL") == 13
+        lines = out.split("\n")
+        failed = [line[5:].split(":")[0] for line in lines if line.startswith("FAIL ")]
+        assert failed == LATTICE_CHECKS
 
 
 def test_import_leaves_numpy_unloaded():

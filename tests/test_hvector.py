@@ -14,7 +14,6 @@ from ordpoly.hvector import (
     h_to_polynomial,
     multiplicial_h,
     shelling_contributions,
-    toric_g,
     toric_h,
 )
 from ordpoly.polynomial import IntPolynomial
@@ -59,11 +58,11 @@ class TestToric:
         assert m58.h == (1, 4, 4, 4, 4, 1)
 
     def test_toric_g_of_whole_lattice(self, b568):
-        g = toric_g(b568.lattice)
+        g = IntPolynomial(b568.toric[1][-1])
         assert g == IntPolynomial([1, 3, 3])
 
     def test_toric_g_of_simplex_face(self, b568):
-        g = toric_g(b568.lattice, (0, 1, 2, 3, 4))
+        g = IntPolynomial(b568.toric[1][b568.lattice.index((0, 1, 2, 3, 4))])
         assert g == IntPolynomial.one()
 
 

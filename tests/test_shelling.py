@@ -10,7 +10,6 @@ from ordpoly.shelling import (
     decompose_facet,
     minimal_new_face_nonrecursive,
     minimal_new_face_recursive,
-    shelling_table_text,
     verify_shelling_partition,
     verify_shelling_topological,
 )
@@ -40,13 +39,6 @@ class TestTableGolden:
         steps = b568.steps
         assert [(s.facet, s.new_face) for s in steps] == TABLE_568
         assert [s.index for s in steps] == list(range(1, 17))
-
-    def test_text_table_shape(self):
-        text = shelling_table_text(Params(5, 6, 8))
-        lines = text.strip("\n").split("\n")
-        assert len(lines) == 17
-        assert lines[0].endswith("G")
-        assert lines[1].endswith("-")
 
     def test_cyclic_example(self):
         steps = colex_shelling(Params(5, 6, 6))
@@ -118,13 +110,13 @@ class TestPartition:
 
 class TestTopological:
     def test_colex_order_is_a_shelling(self, b568):
-        ok = verify_shelling_topological(b568.lattice, [s.facet for s in b568.steps])
+        ok = verify_shelling_topological([s.facet for s in b568.steps], b568.p.d)
         assert ok
 
     def test_reversed_colex_recorded(self, b568):
         # the reversed colex order of P^{5,6,8} is a shelling too
         order = [s.facet for s in reversed(b568.steps)]
-        result = verify_shelling_topological(b568.lattice, order)
+        result = verify_shelling_topological(order, b568.p.d)
         assert result
 
     @pytest.mark.parametrize(
@@ -138,7 +130,7 @@ class TestTopological:
         facets = [s.facet for s in b568.steps]
         head = [facets[j - 1] for j in first]
         order = head + [f for f in facets if f not in head]
-        assert not verify_shelling_topological(b568.lattice, order)
+        assert not verify_shelling_topological(order, b568.p.d)
 
     def test_state_budget_is_per_call(self, bundles, monkeypatch):
         # P^{5,6,8} spends 123 states from a cold memo and P^{7,8,10} then
@@ -147,4 +139,4 @@ class TestTopological:
         monkeypatch.setattr(shelling, "_STATE_BUDGET", 400)
         for dkn in [(5, 6, 8), (7, 8, 10)]:
             b = bundles(*dkn)
-            assert verify_shelling_topological(b.lattice, [s.facet for s in b.steps])
+            assert verify_shelling_topological([s.facet for s in b.steps], b.p.d)

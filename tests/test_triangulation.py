@@ -9,7 +9,6 @@ from ordpoly.triangulation import (
     shelling_restriction_faces,
     simplicial_h,
     triangulation_shelling,
-    triangulation_table_text,
 )
 
 TABLE2_568 = [
@@ -47,10 +46,6 @@ class TestSteps:
             for s in b568.tri_steps
         ]
         assert got == TABLE2_568
-
-    def test_text_table_row_count(self):
-        text = triangulation_table_text(Params(5, 6, 8))
-        assert len(text.strip("\n").split("\n")) == 25
 
     def test_step_count_matches_h_sum(self, b568):
         assert len(b568.tri_steps) == sum(b568.h)
