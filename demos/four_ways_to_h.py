@@ -1,13 +1,15 @@
 """Compute one toric h-vector four independent ways.
 
-The routes share no code past the facet list, so agreement is a strong
-consistency check on the whole library:
+Past the facet list the routes share one piece of plumbing: the toric
+and multiplicial routes both expand sums of c x^s (x-1)^t with
+``hvector.expand_x_minus_one``.  Otherwise they share no code, so
+agreement is a strong consistency check on the whole library:
 
   toric          g-recursion over the full face lattice
   closed         binomial formula in (d, k, n)
   multiplicial   transform of the f-vector and flag counts
   triangulation  simplicial h of the shallow triangulation, corrected
-                 step by step with contribution polynomials
+                 step by step with contribution vectors
 
 The last route is shown in detail: the shelling h-vector h' differs
 from h, and the per-step contributions account for exactly the gap.
@@ -17,17 +19,16 @@ from ordpoly import (
     InstanceBundle,
     Params,
     h_closed_form,
-    h_to_polynomial,
     multiplicial_h,
     simplicial_h,
-    toric_h,
 )
 from ordpoly.hvector import contribution_total
 
 
-def fmt(poly) -> str:
+def fmt(vec) -> str:
+    """An h-aligned vector (entry i at x^{d-i}) as a polynomial in x."""
     terms = []
-    for e, c in enumerate(poly.coefficients):
+    for e, c in enumerate(reversed(vec)):
         if not c:
             continue
         power = "" if e == 0 else ("x" if e == 1 else f"x^{e}")
@@ -39,7 +40,7 @@ def fmt(poly) -> str:
 def show(p: Params) -> None:
     b = InstanceBundle(p)
     routes = {
-        "toric": toric_h(b.lattice),
+        "toric": b.h,
         "closed": h_closed_form(p),
         "multiplicial": multiplicial_h(b.lattice.f_vector(), b.lattice.flag_f0()),
         "triangulation": simplicial_h(b.tri_steps, p.d),
@@ -59,18 +60,18 @@ def main() -> None:
     # The triangulation route under the hood, on the smaller instance.
     p = Params(5, 6, 8)
     b = InstanceBundle(p)
-    h = toric_h(b.lattice)
+    h = b.h
     print(f"Behind the triangulation route for P^{{{p.d},{p.k},{p.n}}}:")
     print(f"  shelling h-vector h' = {b.h_prime}")
     print(f"  toric h-vector    h  = {h}")
 
-    diff = h_to_polynomial(h) - h_to_polynomial(b.h_prime)
+    diff = tuple(x - y for x, y in zip(h, b.h_prime))
     print(f"  gap h - h' as a polynomial in x: {fmt(diff)}")
 
     print("  nonzero per-step contributions:")
-    for j, poly in sorted(b.contributions.items()):
-        if poly.coefficients:
-            print(f"    step {j:>2}  facet {b.steps[j - 1].facet}  a_j = {fmt(poly)}")
+    for j, a in sorted(b.contributions.items()):
+        if any(a):
+            print(f"    step {j:>2}  facet {b.steps[j - 1].facet}  a_j = {fmt(a)}")
     total = contribution_total(b.contributions)
     print(f"  their sum: {fmt(total)}")
     assert total == diff

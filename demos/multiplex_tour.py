@@ -15,7 +15,6 @@ from ordpoly import (
     multiplex_facets,
     multiplex_g,
     multiplex_triangulation,
-    toric_h,
 )
 
 
@@ -58,14 +57,14 @@ def main() -> None:
         print(f"  {grid(s.simplex, n)}  {s.tetra:>9}  {s.facet:>8}")
     print()
 
-    h = toric_h(InstanceBundle(Params(d, d, n)).lattice)
+    h = InstanceBundle(Params(d, d, n)).h
     print(f"Toric h-vector: {' '.join(str(x) for x in h)}")
     assert h[0] == h[-1] == 1
     assert set(h[1:-1]) == {n - d + 1}
     print("Flat middle: every interior entry equals n - d + 1.")
     g = multiplex_g(d, n + 1)
     print(f"Equivalently the g-polynomial stops at degree 1: "
-          f"g = 1 + {g.coefficient(1)}x.")
+          f"g = 1 + {g[1]}x.")
     print()
 
     print("The window rule needs no parity conditions, so even dimensions")

@@ -18,14 +18,13 @@ from ordpoly import (
     count_by_size,
     facet_to_subset,
     subset_to_facet,
-    toric_h,
 )
 
 
 def main() -> None:
     p = Params(7, 9, 15)
     b = InstanceBundle(p)
-    h = toric_h(b.lattice)
+    h = b.h
     h_prev = InstanceBundle(Params(p.d, p.k, p.n - 1)).h
     print(f"P^{{{p.d},{p.k},{p.n}}} is stable (n >= d + k - 1 = {p.d + p.k - 1}).")
     print()

@@ -25,14 +25,10 @@ from .combinat import (
     retract,
 )
 from .hvector import (
-    f_from_h_prime,
     h_closed_form,
     h_prime_from_f,
-    h_prime_from_shelling,
-    h_to_polynomial,
     multiplicial_h,
     shelling_contributions,
-    toric_h,
 )
 from .lattice import FaceLattice, build_face_lattice, euler_check, lattice_from_json
 from .multiplex import (
@@ -43,7 +39,6 @@ from .multiplex import (
     multiplex_triangulation,
 )
 from .ordinary import enumerate_facets, facets_by_recursion, lsh, rsh
-from .polynomial import IntPolynomial
 from .shelling import (
     ShellingStep,
     colex_shelling,
@@ -70,7 +65,6 @@ __all__ = [
     "FaceLattice",
     "InstanceBundle",
     "Interval",
-    "IntPolynomial",
     "Params",
     "ShellingStep",
     "TriangulationStep",
@@ -84,14 +78,11 @@ __all__ = [
     "decompose_step_simplex",
     "enumerate_facets",
     "euler_check",
-    "f_from_h_prime",
     "facet_to_subset",
     "facets_by_recursion",
     "grid_instances",
     "h_closed_form",
     "h_prime_from_f",
-    "h_prime_from_shelling",
-    "h_to_polynomial",
     "increment_steps",
     "is_gale",
     "lattice_from_json",
@@ -113,7 +104,6 @@ __all__ = [
     "shelling_restriction_faces",
     "simplicial_h",
     "subset_to_facet",
-    "toric_h",
     "triangulation_shelling",
     "verify_instance",
     "verify_shelling_partition",

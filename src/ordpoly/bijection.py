@@ -13,6 +13,7 @@ n and the block decomposition breaks down, so the operations refuse.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 
 from .combinat import (
@@ -183,15 +184,20 @@ def subset_to_facet(a_set: VertexSet, p: Params, i: int) -> VertexSet:
     return simplex
 
 
-def increment_steps(p: Params) -> list[TriangulationStep]:
-    """Steps whose shelled facet has maximum n-1: the h-growth witnesses."""
+@lru_cache(maxsize=None)
+def increment_steps(p: Params) -> tuple[TriangulationStep, ...]:
+    """Steps whose shelled facet has maximum n-1: the h-growth witnesses.
+
+    Built once per instance: every size i of ``count_by_size`` and
+    ``bijection_records`` reads the same steps.
+    """
     _require_stable(p)
     facets = enumerate_facets(p)
-    return [
+    return tuple(
         s
         for s in triangulation_shelling(p)
         if facets[s.facet_index - 1][-1] == p.n - 1
-    ]
+    )
 
 
 def count_by_size(p: Params, i: int) -> int:

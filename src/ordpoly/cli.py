@@ -187,10 +187,7 @@ def _run_hvector(b: InstanceBundle, args) -> tuple[int, str]:
     agree = len(set(routes.values())) == 1
     code = 0 if agree else 1
     if args.format == "json":
-        a = {
-            str(j): [poly.coefficient(p.d - i) for i in range(p.d + 1)]
-            for j, poly in sorted(b.contributions.items())
-        }
+        a = {str(j): a_j for j, a_j in sorted(b.contributions.items())}
         h = next(iter(routes.values())) if agree else None
         return code, _dump(_envelope(p, h=h, h_prime=b.h_prime, a=a))
     if args.format == "csv":
@@ -217,7 +214,7 @@ def _run_multiplex(b: InstanceBundle, args) -> tuple[int, str]:
                 {"simplex": s.simplex, "tetra": s.tetra, "facet": s.facet}
                 for s in boundary
             ],
-            "g": g.coefficients,
+            "g": g,
         }
         return 0, _dump(doc)
     if args.format == "csv":
@@ -234,7 +231,7 @@ def _run_multiplex(b: InstanceBundle, args) -> tuple[int, str]:
         f"{idx:>3}  {_grid(s.simplex, n)}  {s.tetra:>2} {s.facet:>2}"
         for idx, s in enumerate(boundary, 1)
     ]
-    lines.append(f"g coefficients: {_cell(g.coefficients)}")
+    lines.append(f"g coefficients: {_cell(g)}")
     return 0, "\n".join(lines)
 
 

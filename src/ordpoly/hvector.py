@@ -6,32 +6,47 @@ of the shallow boundary triangulation (module ``triangulation``).  Their
 exact agreement on every instance is the library's core claim.
 
 Also here: the fake-simplicial h' (from the shelling's new-face sizes or
-from the f-vector), and the per-step contribution polynomials a_j that
-measure h - h', computed by two routes that must agree.
+from the f-vector), and the per-step contributions a_j that measure
+h - h', computed by two routes that must agree.
+
+Every coefficient vector is a plain int tuple.  h, h', a_j and the
+modified f-vector transform use the h alignment: entry i is the
+coefficient of x^{d-i}.  A toric g row is ascending, g_i at x^i, with
+trailing zeros dropped.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import comb
 from typing import Iterable, Sequence
 
 from .combinat import Params, VertexSet
 from .lattice import FaceLattice
-from .polynomial import IntPolynomial, x_minus_one_power
 
 HVector = tuple[int, ...]
 
 
-def h_to_polynomial(h: Sequence[int]) -> IntPolynomial:
-    """Encode (h_0..h_d) as sum of h_i x^{d-i}."""
-    return IntPolynomial(list(reversed(h)))
+@lru_cache(maxsize=None)
+def _x_minus_one_power(t: int) -> tuple[int, ...]:
+    """Coefficients of (x-1)^t, ascending; the table under expand_x_minus_one."""
+    return tuple(comb(t, i) * (-1) ** (t - i) for i in range(t + 1))
 
 
-def polynomial_to_h(poly: IntPolynomial, d: int) -> HVector:
-    """Decode a degree-<=d polynomial into (h_0..h_d), h_i at x^{d-i}."""
-    if poly.degree > d:
-        raise ValueError(f"degree {poly.degree} exceeds {d}")
-    return tuple(poly.coefficient(d - i) for i in range(d + 1))
+def expand_x_minus_one(terms: Iterable[tuple[int, int, int]], d: int) -> HVector:
+    """Sum of c x^s (x-1)^t over the (c, s, t) terms, in the h alignment.
+
+    Entry i of the result is the coefficient of x^{d-i}; a term of degree
+    s + t above d is refused.
+    """
+    out = [0] * (d + 1)
+    for c, s, t in terms:
+        if t < 0 or s < 0 or s + t > d:
+            raise ValueError(f"term x^{s} (x-1)^{t} does not fit degree {d}")
+        top = d - s
+        for j, b in enumerate(_x_minus_one_power(t)):
+            out[top - j] += c * b
+    return tuple(out)
 
 
 # -- toric recursion ------------------------------------------------------
@@ -41,8 +56,9 @@ def toric_tables(lattice: FaceLattice) -> tuple[list[HVector], list[tuple[int, .
     """h-vector and g-coefficients of (the boundary of) every face.
 
     Faces are processed bottom-up; the g of a face only depends on faces
-    strictly below it, so one pass suffices.  Index -1 into the h table
-    is the empty face whose g is 1 by convention.
+    strictly below it, so one pass suffices: h of an e-face is the sum of
+    g_t(x) (x-1)^{e-1-t} over the t-faces strictly below it.  Index -1
+    into the h table is the empty face whose g is 1 by convention.
     """
     dims = lattice.dims
     count = len(lattice.faces)
@@ -60,31 +76,26 @@ def toric_tables(lattice: FaceLattice) -> tuple[list[HVector], list[tuple[int, .
             acc = g_sums.setdefault(dims[r], [0] * (e // 2 + 1))
             for i, gi in enumerate(g_list[r]):
                 acc[i] += gi
-        h_coeffs = [0] * (e + 1)
-        for t, g_sum in g_sums.items():
-            pascal = x_minus_one_power(e - 1 - t)
-            for i, gi in enumerate(g_sum):
-                if gi:
-                    for jdx, b in enumerate(pascal):
-                        h_coeffs[i + jdx] += gi * b
-        h_vec = tuple(reversed(h_coeffs))
+        h_vec = expand_x_minus_one(
+            (
+                (gi, i, e - 1 - t)
+                for t, g_sum in g_sums.items()
+                for i, gi in enumerate(g_sum)
+                if gi
+            ),
+            e,
+        )
         if h_vec[0] != 1:
             raise ValueError(
                 f"toric recursion gave h_0 = {h_vec[0]} on a {e}-face; "
                 "the input lattice is not Eulerian"
             )
         h_list[row] = h_vec
-        g_coeffs = [1] + [
-            h_vec[i] - h_vec[i - 1] for i in range(1, e // 2 + 1)
-        ]
-        g_list[row] = tuple(g_coeffs)
+        g = [1] + [h_vec[i] - h_vec[i - 1] for i in range(1, e // 2 + 1)]
+        while g[-1] == 0:
+            g.pop()
+        g_list[row] = tuple(g)
     return h_list, g_list
-
-
-def toric_h(lattice: FaceLattice) -> HVector:
-    """Toric h-vector of the polytope, by the g-recursion over all faces."""
-    h_list, _ = toric_tables(lattice)
-    return h_list[-1]
 
 
 # -- closed form ----------------------------------------------------------
@@ -133,10 +144,7 @@ def _simplicial_transform(counts: Sequence[int], d: int) -> HVector:
     """Expand sum of counts[i] (x-1)^{d-i} and read off h_i at x^{d-i}."""
     if len(counts) != d + 1:
         raise ValueError(f"need d+1 = {d + 1} counts, got {len(counts)}")
-    acc = IntPolynomial.zero()
-    for i, c in enumerate(counts):
-        acc = acc + c * IntPolynomial(x_minus_one_power(d - i))
-    return polynomial_to_h(acc, d)
+    return expand_x_minus_one(((c, 0, d - i) for i, c in enumerate(counts)), d)
 
 
 def multiplicial_h(f: Sequence[int], flag0: Sequence[int]) -> HVector:
@@ -158,11 +166,6 @@ def new_face_counts(new_faces: Iterable[VertexSet], d: int) -> HVector:
     return tuple(out)
 
 
-def h_prime_from_shelling(steps, d: int) -> HVector:
-    """h'_i = number of shelling steps whose new face has i vertices."""
-    return new_face_counts((step.new_face for step in steps), d)
-
-
 def h_prime_from_f(f: Sequence[int], d: int) -> HVector:
     """The simplicial f-to-h transform applied to a possibly nonsimplicial
     f-vector."""
@@ -171,47 +174,35 @@ def h_prime_from_f(f: Sequence[int], d: int) -> HVector:
     return _simplicial_transform((1, *f), d)
 
 
-def f_from_h_prime(h_prime: Sequence[int]) -> tuple[int, ...]:
-    """Inverse transform: recover the f-vector from h'."""
-    d = len(h_prime) - 1
-    return tuple(
-        sum(comb(d - i, ell - i + 1) * h_prime[i] for i in range(ell + 2))
-        for ell in range(d)
-    )
-
-
-# -- per-step contribution polynomials ------------------------------------
+# -- per-step contributions ----------------------------------------------
 
 
 def shelling_contributions(
     p: Params, lattice: FaceLattice, steps, triangulation_steps
-) -> dict[int, IntPolynomial]:
-    """Contribution a_j of each shelling step to h - h'.
+) -> dict[int, HVector]:
+    """Contribution a_j of each shelling step to h - h', in the h alignment.
 
     Computed two ways: (a) vertex-surplus counting over the step interval
-    [G_j, F_j], basis-changed from powers of (x-1); (b) counting the
-    new-face sizes of the non-final triangulation windows inside F_j.
-    The routes must agree entry by entry; any mismatch raises.
-
-    Each a_j is returned in the h alignment: a_{j,i} is the coefficient
-    of x^{d-i}.
+    [G_j, F_j], each e-face charging its surplus to x (x-1)^{d-1-e};
+    (b) counting the new-face sizes of the non-final triangulation
+    windows inside F_j.  The routes must agree entry by entry; any
+    mismatch raises.
     """
     d = p.d
     by_facet: dict[int, list] = {}
     for t in triangulation_steps:
         by_facet.setdefault(t.facet_index, []).append(t)
 
-    out: dict[int, IntPolynomial] = {}
+    out: dict[int, HVector] = {}
     for step in steps:
-        b_coeffs = [0] * d
+        surplus = [0] * d  # vertex surplus over a simplex, by face dimension
         for r in lattice.interval_rows(step.new_face, step.facet):
             e = lattice.dims[r]
             if 0 <= e <= d - 1:
-                surplus = len(lattice.faces[r]) - (e + 1)
-                if surplus:
-                    b_coeffs[d - 1 - e] += surplus
-        a_poly = IntPolynomial(b_coeffs).taylor_shift(-1)
-        flag_route = tuple(a_poly.coefficient(d - 1 - i) for i in range(d + 1))
+                surplus[e] += len(lattice.faces[r]) - (e + 1)
+        flag_route = expand_x_minus_one(
+            ((c, 1, d - 1 - e) for e, c in enumerate(surplus) if c), d
+        )
 
         last = len(step.facet) - d + 1
         inner = [t.new_face for t in by_facet.get(step.index, []) if t.window_index < last]
@@ -222,12 +213,10 @@ def shelling_contributions(
                 f"interval counting gives {flag_route}, "
                 f"window counting gives {window_route}"
             )
-        out[step.index] = IntPolynomial.monomial(1, 1) * a_poly
+        out[step.index] = flag_route
     return out
 
 
-def contribution_total(contributions: dict[int, IntPolynomial]) -> IntPolynomial:
-    acc = IntPolynomial.zero()
-    for poly in contributions.values():
-        acc = acc + poly
-    return acc
+def contribution_total(contributions: dict[int, HVector]) -> HVector:
+    """Entrywise sum of the contributions: h - h' when the theory holds."""
+    return tuple(map(sum, zip(*contributions.values())))

@@ -108,9 +108,6 @@ class FaceLattice:
     def top(self) -> VertexSet:
         return self.faces[-1]
 
-    def facets(self) -> list[VertexSet]:
-        return [self.faces[i] for i in self._facet_rows]
-
     def downset(self, row: int) -> list[int]:
         """Rows of all faces weakly below ``row``, ascending."""
         return _rows(self._down[row])

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .combinat import VertexSet, retract
-from .polynomial import IntPolynomial
 
 
 def _check_dn(d: int, n: int) -> None:
@@ -88,11 +87,12 @@ def multiplex_boundary_triangulation(d: int, n: int) -> list[BoundarySimplex]:
     return out
 
 
-def multiplex_g(e: int, v: int) -> IntPolynomial:
-    """Toric g-polynomial of an e-dimensional multiplex with v vertices.
+def multiplex_g(e: int, v: int) -> tuple[int, ...]:
+    """Toric g coefficients of an e-dimensional multiplex with v vertices.
 
-    Equals 1 + (v-1-e)x; in particular 1 for a simplex (v = e+1).
+    g = 1 + (v-1-e)x, ascending without trailing zeros like the rows of
+    ``hvector.toric_tables``; so (1,) for a simplex (v = e+1).
     """
     if v < e + 1:
         raise ValueError(f"an {e}-dimensional multiplex needs >= {e + 1} vertices")
-    return IntPolynomial((1, v - 1 - e)) if v > e + 1 else IntPolynomial.one()
+    return (1, v - 1 - e) if v > e + 1 else (1,)

@@ -1,6 +1,6 @@
 """The cross-check harness itself: grid composition and failure reporting."""
 
-from ordpoly import lattice
+from ordpoly import bijection, lattice, triangulation, verify
 from ordpoly.combinat import Params
 from ordpoly.verify import CHECK_NAMES, grid_instances, verify_instance
 
@@ -70,3 +70,21 @@ class TestVerifyInstance:
         ]
         assert all("exceeds the cap of 100 faces" in r.detail for r in failed)
         assert len(calls) == 1
+
+    def test_triangulation_is_built_at_most_twice(self, monkeypatch):
+        # once for the bundle, once for the bijection's increment steps,
+        # which every size of both bijection checks reads from one cache
+        calls = []
+        build = triangulation.triangulation_shelling
+
+        def counted(p):
+            calls.append(p)
+            return build(p)
+
+        for module in (triangulation, bijection, verify):
+            monkeypatch.setattr(module, "triangulation_shelling", counted)
+        bijection.increment_steps.cache_clear()
+        results = verify_instance(Params(7, 9, 15))
+        assert all(r.ok for r in results)
+        assert not any(r.detail for r in results if r.name.startswith("bijection"))
+        assert len(calls) <= 2
