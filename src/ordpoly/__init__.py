@@ -30,7 +30,7 @@ from .hvector import (
     multiplicial_h,
     shelling_contributions,
 )
-from .lattice import FaceLattice, build_face_lattice, euler_check, lattice_from_json
+from .lattice import FaceLattice, build_face_lattice, euler_check
 from .multiplex import (
     multiplex_boundary_triangulation,
     multiplex_facet,
@@ -85,7 +85,6 @@ __all__ = [
     "h_prime_from_f",
     "increment_steps",
     "is_gale",
-    "lattice_from_json",
     "lsh",
     "maximal_runs",
     "minimal_new_face_nonrecursive",

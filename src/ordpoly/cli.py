@@ -111,7 +111,8 @@ def _table(p: Params, fmt: str, key: str, columns: str, rows, text, **extra) -> 
 def _run_facets(b: InstanceBundle, args) -> tuple[int, str]:
     rows = list(enumerate(b.facets, 1))
     if args.format == "json":
-        lattice = json.loads(b.lattice.to_json())
+        lat = b.lattice
+        lattice = {"d": lat.d, "n": lat.n, "faces": lat.faces, "dims": lat.dims}
         return 0, _dump(_envelope(b.p, facets=b.facets, lattice=lattice))
     if args.format == "csv":
         return 0, _csv("j,facet", rows)

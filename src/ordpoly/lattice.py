@@ -7,8 +7,11 @@ walked top-down along its cover relation: the lower covers of a face H
 are the maximal meets H & F over the facets F that do not contain H
 (Kaibel and Pfetsch, "Computing the face lattice of a polytope from its
 vertex-facet incidences", Comput. Geom. 23, 2002).  Faces are stored as
-``combinat.mask_of`` integers, so vertex labels are unbounded; down-sets
-and up-sets are integer bitsets over rows, OR-ed along the covers.
+``combinat.mask_of`` integers, so vertex labels are unbounded.  The one
+stored order relation is the down-set of each face, an integer bitset
+over rows OR-ed along the covers.  Faces are ordered by containment, so
+the faces above a face are the faces above each of its vertices: up-sets
+are ANDs of the n+1 per-vertex up-sets and are never stored per face.
 
 The closure size is capped by the ORDPOLY_MAX_FACES environment variable
 (a positive integer, default 200000) so a typo in the parameters cannot
@@ -17,7 +20,6 @@ eat the machine.
 
 from __future__ import annotations
 
-import json
 import os
 from typing import Iterable, Sequence
 
@@ -58,14 +60,13 @@ class FaceLattice:
     built and validated by ``build_face_lattice``.
     """
 
-    __slots__ = ("faces", "dims", "d", "n", "_masks", "_index", "_facet_rows", "_down", "_up")
+    __slots__ = ("faces", "dims", "d", "n", "_masks", "_index", "_down", "_vertex_rows")
 
     def __init__(
         self,
         masks: Sequence[int],
         dims: Sequence[int],
         d: int,
-        facet_rows: Sequence[int],
         covers: Sequence[Sequence[int]],
     ):
         self._masks = tuple(masks)
@@ -74,19 +75,18 @@ class FaceLattice:
         self.d = d
         self.n = self._masks[-1].bit_length() - 1
         self._index = {f: i for i, f in enumerate(self.faces)}
-        self._facet_rows = tuple(facet_rows)
-        # Covers point to lower rows, so one ascending pass fills the
-        # down-sets and one descending pass the up-sets.
+        # Covers point to lower rows, so one ascending pass fills the down-sets.
         self._down: list[int] = []
         for row, below in enumerate(covers):
             bits = 1 << row
             for c in below:
                 bits |= self._down[c]
             self._down.append(bits)
-        self._up = [1 << row for row in range(len(self._masks))]
-        for row in reversed(range(len(self._masks))):
-            for c in covers[row]:
-                self._up[c] |= self._up[row]
+        # The up-set of vertex v: the rows of the faces holding v.
+        self._vertex_rows = [0] * (self.n + 1)
+        for row, face in enumerate(self.faces):
+            for v in face:
+                self._vertex_rows[v] |= 1 << row
 
     # -- basic queries ---------------------------------------------------
 
@@ -112,9 +112,23 @@ class FaceLattice:
         """Rows of all faces weakly below ``row``, ascending."""
         return _rows(self._down[row])
 
+    def _above(self, mask: int) -> int:
+        """Bitset of the rows of all faces containing the vertex bitmask ``mask``.
+
+        Starts from the top's down-set (every row), never from -1: a
+        negative bitset would make ``_rows`` loop forever.
+        """
+        if mask & ~self._masks[-1]:
+            raise ValueError(f"{face_of(mask)} uses labels outside the vertex set")
+        bits = self._down[-1]
+        for v in _rows(mask):
+            bits &= self._vertex_rows[v]
+        return bits
+
     def interval_rows(self, bottom: VertexSet, top: VertexSet) -> list[int]:
         """Rows of all faces weakly between ``bottom`` and ``top``, ascending."""
-        return _rows(self._up[self.index(bottom)] & self._down[self.index(top)])
+        above = self._above(self._masks[self.index(bottom)])
+        return _rows(above & self._down[self.index(top)])
 
     # -- derived vectors -------------------------------------------------
 
@@ -151,9 +165,8 @@ class FaceLattice:
         mask = mask_of(sig)
         acc = self._masks[-1]
         found = False
-        for row in self._facet_rows:
-            fmask = self._masks[row]
-            if fmask & mask == mask:
+        for fmask, fd in zip(self._masks, self.dims):
+            if fd == self.d - 1 and fmask & mask == mask:
                 acc &= fmask
                 found = True
         if not found:
@@ -169,25 +182,11 @@ class FaceLattice:
         The faces containing sigma are the common up-set of its vertices;
         the carrier is their lowest row.
         """
-        atom_up = {v: self._up[self._index[(v,)]] for v in self.top()}
         out = []
         for sigma in sigma_masks:
-            above = -1
-            for v in face_of(sigma):
-                above &= atom_up[v]
+            above = self._above(sigma)
             out.append(self.dims[(above & -above).bit_length() - 1])
         return out
-
-    # -- serialization ---------------------------------------------------
-
-    def to_json(self) -> str:
-        doc = {
-            "d": self.d,
-            "n": self.n,
-            "faces": [list(f) for f in self.faces],
-            "dims": list(self.dims),
-        }
-        return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
 def _maximal(masks: Iterable[int]) -> list[int]:
@@ -262,12 +261,10 @@ def build_face_lattice(facets: Sequence[VertexSet], d: int) -> FaceLattice:
     # Numeric order of masks is colex order of the vertex sets.
     masks = sorted(covers, key=lambda m: (dims[m], m))
     row = {m: i for i, m in enumerate(masks)}
-    facet_set = set(facet_masks)
     lattice = FaceLattice(
         masks,
         [dims[m] for m in masks],
         d,
-        [i for i, m in enumerate(masks) if m in facet_set],
         [[row[c] for c in covers[m]] for m in masks],
     )
     _validate_lattice(lattice, facet_masks)
@@ -295,32 +292,19 @@ def euler_check(lattice: FaceLattice) -> bool:
 
     Equivalently, every interval [x, y] with x < y holds as many faces of
     even dimension as of odd; this is tested for every comparable pair,
-    not only for the intervals of length two.
+    not only for the intervals of length two (Stanley, EC1 3.16).  Only
+    the up-set of the current x is held, so no per-face up-sets are stored.
     """
     even = 0
     for row, fd in enumerate(lattice.dims):
         if fd % 2 == 0:
             even |= 1 << row
-    up = lattice._up
-    for y, below in enumerate(lattice._down):
-        below_even = below & even
-        for x in _rows(below ^ (1 << y)):
-            if 2 * (up[x] & below_even).bit_count() != (up[x] & below).bit_count():
+    down = lattice._down
+    for x, mask in enumerate(lattice._masks):
+        above = lattice._above(mask)
+        above_even = above & even
+        for y in _rows(above ^ (1 << x)):
+            if 2 * (above_even & down[y]).bit_count() != (above & down[y]).bit_count():
                 return False
     return True
 
-
-def lattice_from_json(text: str) -> FaceLattice:
-    """Rebuild a lattice from its canonical JSON document.
-
-    The lattice is rebuilt from the stored facets (the faces stored at
-    dimension d-1); any stored face or dimension that differs is refused.
-    """
-    doc = json.loads(text)
-    faces = [tuple(f) for f in doc["faces"]]
-    dims = list(doc["dims"])
-    d = doc["d"]
-    lattice = build_face_lattice([f for f, fd in zip(faces, dims) if fd == d - 1], d)
-    if list(lattice.faces) != faces or list(lattice.dims) != dims or lattice.n != doc["n"]:
-        raise ValueError("stored faces or dimensions disagree with the closure of the stored facets")
-    return lattice

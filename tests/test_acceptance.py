@@ -4,7 +4,6 @@ Run with ``pytest tests/test_acceptance.py -s`` to see the verdict lines;
 without ``-s`` pytest captures them but the pass/fail result is the same.
 """
 
-import json
 from math import comb
 
 import pytest
@@ -13,7 +12,6 @@ from oracles import antistar_new_faces, brute_cyclic_facets
 from ordpoly.bijection import bijection_records, count_by_size, subset_to_facet
 from ordpoly.cli import main
 from ordpoly.combinat import Params
-from ordpoly.hvector import h_closed_form
 from ordpoly.multiplex import multiplex_facets, multiplex_triangulation
 from ordpoly.shelling import minimal_new_face_nonrecursive
 from ordpoly.triangulation import shelling_restriction_faces

@@ -260,10 +260,15 @@ class TestFacets:
         doc = json.loads(out)
         assert code == 0
         assert len(doc["facets"]) == 12
-        from ordpoly.lattice import lattice_from_json
+        from ordpoly.lattice import build_face_lattice
 
-        lattice = lattice_from_json(json.dumps(doc["lattice"]))
-        assert lattice.f_vector()[-1] == 12
+        lattice = build_face_lattice([tuple(f) for f in doc["facets"]], 5)
+        assert doc["lattice"] == {
+            "d": 5,
+            "n": 6,
+            "faces": [list(f) for f in lattice.faces],
+            "dims": list(lattice.dims),
+        }
 
 
 class TestOneBuildPerCall:

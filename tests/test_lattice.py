@@ -1,16 +1,11 @@
-"""Face lattice construction: closure, grading, Euler relation, serialization."""
+"""Face lattice construction: closure, grading, Euler relation, carriers."""
 
-import json
 from itertools import combinations
 
 import pytest
 
-from ordpoly.combinat import Params, colex_key
-from ordpoly.lattice import (
-    build_face_lattice,
-    euler_check,
-    lattice_from_json,
-)
+from ordpoly.combinat import Params, colex_key, mask_of
+from ordpoly.lattice import build_face_lattice, euler_check
 from ordpoly.ordinary import enumerate_facets
 
 
@@ -58,6 +53,18 @@ class TestFlagship:
         assert dims[1] == 1
         assert dims[2] == lattice.dim(lattice.carrier((4, 5, 6)))
 
+    def test_carrier_in_no_facet_is_the_top(self, b568):
+        lattice = b568.lattice
+        assert lattice.carrier((0, 4, 8)) == lattice.top()
+        assert lattice.carrier_dims([mask_of((0, 4, 8))]) == [5]
+
+    def test_carrier_of_empty_set(self, b568):
+        assert b568.lattice.carrier(()) == ()
+
+    def test_carrier_dims_refuses_outside_labels(self, b568):
+        with pytest.raises(ValueError, match="outside the vertex set"):
+            b568.lattice.carrier_dims([mask_of((0, 9))])
+
     def test_eulerian(self, b568):
         assert euler_check(b568.lattice)
 
@@ -90,6 +97,28 @@ class TestNotEulerian:
                 assert len(lattice.interval_rows(x, y)) == 4
         assert not euler_check(lattice)
 
+    def test_octahedron_minus_a_triangle(self):
+        # a disk: the three edges of the missing triangle (1, 2, 5) lie in
+        # one facet each, so they are not meets; intervals below the three
+        # facets around the hole fail, not only intervals ending at the top
+        facets = [(0, 2, 4), (0, 2, 5), (0, 3, 4), (0, 3, 5), (1, 2, 4), (1, 3, 4), (1, 3, 5)]
+        lattice = build_face_lattice(facets, 3)
+        assert lattice.f_vector() == (6, 9, 7)
+        assert not euler_check(lattice)
+
+    def test_edge_with_three_vertices(self):
+        # a 2-sphere whose facets (0, 1, 3, 4) and (1, 2, 3, 4, 5) meet in
+        # the path 3-1-4: every interval ending at the top holds, but the
+        # edge (1, 3, 4) and the intervals from vertex 1 to both facets fail
+        facets = [(0, 1, 3, 4), (0, 2, 4, 6), (0, 3, 6), (1, 2, 3, 4, 5), (1, 2, 6), (1, 5, 6), (3, 5, 6)]
+        lattice = build_face_lattice(facets, 3)
+        assert lattice.f_vector() == (7, 12, 7)
+        for face in lattice.faces[:-1]:
+            rows = lattice.interval_rows(face, lattice.top())
+            even = sum(1 for r in rows if lattice.dims[r] % 2 == 0)
+            assert 2 * even == len(rows)
+        assert not euler_check(lattice)
+
 
 class TestIntervalAndDownset:
     def test_boolean_interval_of_step_13(self, b568):
@@ -102,26 +131,6 @@ class TestIntervalAndDownset:
             (0, 1, 2, 6, 7, 8),
             (0, 1, 2, 3, 6, 7, 8),
         }
-
-
-class TestSerialization:
-    def test_round_trip_bit_exact(self, b568):
-        lattice = b568.lattice
-        doc = lattice.to_json()
-        again = lattice_from_json(doc)
-        assert again.to_json() == doc
-        assert again.faces == lattice.faces
-        assert again.dims == lattice.dims
-
-    def test_schema_keys(self, b568):
-        doc = json.loads(b568.lattice.to_json())
-        assert sorted(doc.keys()) == ["d", "dims", "faces", "n"]
-
-    def test_tampered_dims_rejected(self, b568):
-        doc = json.loads(b568.lattice.to_json())
-        doc["dims"][5] = 3
-        with pytest.raises(ValueError):
-            lattice_from_json(json.dumps(doc))
 
 
 class TestValidation:

@@ -8,7 +8,6 @@ from ordpoly.triangulation import (
     shallowness_check,
     shelling_restriction_faces,
     simplicial_h,
-    triangulation_shelling,
 )
 
 TABLE2_568 = [
