@@ -56,9 +56,9 @@ def main() -> None:
         assert step.new_face == minimal_new_face_recursive(step.facet, p)
     print("True")
 
-    topo = verify_shelling_topological(b.facets, p.d)
-    print(f"  order passes the from-scratch shelling definition: {topo}")
-    assert topo
+    ok, witness = verify_shelling_topological(b.facets, p.d)
+    print(f"  order passes the from-scratch shelling definition: {ok}")
+    assert ok, witness
 
 
 if __name__ == "__main__":

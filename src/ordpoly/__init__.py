@@ -9,27 +9,11 @@ from .bijection import (
     BijectionRecord,
     bijection_records,
     count_by_size,
-    decompose_step_simplex,
     facet_to_subset,
-    increment_steps,
     subset_to_facet,
 )
-from .combinat import (
-    Interval,
-    Params,
-    colex_key,
-    colex_sorted,
-    is_gale,
-    maximal_runs,
-    paired_subsets,
-    retract,
-)
-from .hvector import (
-    h_closed_form,
-    h_prime_from_f,
-    multiplicial_h,
-    shelling_contributions,
-)
+from .combinat import Interval, Params, colex_key
+from .hvector import h_closed_form, multiplicial_h, shelling_contributions
 from .lattice import FaceLattice, build_face_lattice, euler_check
 from .multiplex import (
     multiplex_boundary_triangulation,
@@ -38,7 +22,7 @@ from .multiplex import (
     multiplex_g,
     multiplex_triangulation,
 )
-from .ordinary import enumerate_facets, facets_by_recursion, lsh, rsh
+from .ordinary import enumerate_facets, facets_by_recursion, lsh
 from .shelling import (
     ShellingStep,
     colex_shelling,
@@ -73,20 +57,14 @@ __all__ = [
     "build_face_lattice",
     "colex_key",
     "colex_shelling",
-    "colex_sorted",
     "count_by_size",
-    "decompose_step_simplex",
     "enumerate_facets",
     "euler_check",
     "facet_to_subset",
     "facets_by_recursion",
     "grid_instances",
     "h_closed_form",
-    "h_prime_from_f",
-    "increment_steps",
-    "is_gale",
     "lsh",
-    "maximal_runs",
     "minimal_new_face_nonrecursive",
     "minimal_new_face_recursive",
     "multiplex_boundary_triangulation",
@@ -95,9 +73,6 @@ __all__ = [
     "multiplex_g",
     "multiplex_triangulation",
     "multiplicial_h",
-    "paired_subsets",
-    "retract",
-    "rsh",
     "shallowness_check",
     "shelling_contributions",
     "shelling_restriction_faces",

@@ -192,28 +192,25 @@ def mask_of(face: Iterable[int]) -> int:
     return mask
 
 
+def set_bits(bits: int) -> list[int]:
+    """Indices of the set bits of a nonnegative integer, ascending."""
+    out = []
+    while bits:
+        low = bits & -bits
+        out.append(low.bit_length() - 1)
+        bits ^= low
+    return out
+
+
 def face_of(mask: int) -> VertexSet:
     """Vertex set of a bitmask, as a strictly increasing tuple."""
-    out = []
-    v = 0
-    while mask:
-        if mask & 1:
-            out.append(v)
-        mask >>= 1
-        v += 1
-    return tuple(out)
+    return tuple(set_bits(mask))
 
 
 def simplex_walls(cell: int) -> list[int]:
     """Walls of a simplex mask: the cell minus one vertex, by increasing
     removed vertex."""
-    walls = []
-    rest = cell
-    while rest:
-        low = rest & -rest
-        walls.append(cell ^ low)
-        rest ^= low
-    return walls
+    return [cell ^ (1 << v) for v in set_bits(cell)]
 
 
 def covered_walls(walls: Sequence[int], earlier: Sequence[int]) -> list[int]:

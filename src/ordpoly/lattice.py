@@ -23,7 +23,7 @@ from __future__ import annotations
 import os
 from typing import Iterable, Sequence
 
-from .combinat import VertexSet, face_of, mask_of
+from .combinat import VertexSet, face_of, mask_of, set_bits
 
 DEFAULT_MAX_FACES = 200_000
 
@@ -39,16 +39,6 @@ def _max_faces() -> int:
     if cap < 1:
         raise ValueError(f"ORDPOLY_MAX_FACES must be a positive integer, got {raw!r}")
     return cap
-
-
-def _rows(bits: int) -> list[int]:
-    """Indices of the set bits of ``bits``, ascending."""
-    out = []
-    while bits:
-        low = bits & -bits
-        out.append(low.bit_length() - 1)
-        bits ^= low
-    return out
 
 
 class FaceLattice:
@@ -110,25 +100,25 @@ class FaceLattice:
 
     def downset(self, row: int) -> list[int]:
         """Rows of all faces weakly below ``row``, ascending."""
-        return _rows(self._down[row])
+        return set_bits(self._down[row])
 
     def _above(self, mask: int) -> int:
         """Bitset of the rows of all faces containing the vertex bitmask ``mask``.
 
         Starts from the top's down-set (every row), never from -1: a
-        negative bitset would make ``_rows`` loop forever.
+        negative bitset would make ``set_bits`` loop forever.
         """
         if mask & ~self._masks[-1]:
             raise ValueError(f"{face_of(mask)} uses labels outside the vertex set")
         bits = self._down[-1]
-        for v in _rows(mask):
+        for v in set_bits(mask):
             bits &= self._vertex_rows[v]
         return bits
 
     def interval_rows(self, bottom: VertexSet, top: VertexSet) -> list[int]:
         """Rows of all faces weakly between ``bottom`` and ``top``, ascending."""
         above = self._above(self._masks[self.index(bottom)])
-        return _rows(above & self._down[self.index(top)])
+        return set_bits(above & self._down[self.index(top)])
 
     # -- derived vectors -------------------------------------------------
 
@@ -303,7 +293,7 @@ def euler_check(lattice: FaceLattice) -> bool:
     for x, mask in enumerate(lattice._masks):
         above = lattice._above(mask)
         above_even = above & even
-        for y in _rows(above ^ (1 << x)):
+        for y in set_bits(above ^ (1 << x)):
             if 2 * (above_even & down[y]).bit_count() != (above & down[y]).bit_count():
                 return False
     return True

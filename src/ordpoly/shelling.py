@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Sequence
 
 from .combinat import (
     Interval,
@@ -252,121 +253,70 @@ def _ridge_walls(e: int, p: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
     return tuple((mask_of(r), tuple(_walls(r, e - 1))) for r in _ridge_sets(e, p))
 
 
-class _SegmentChecker:
-    """Decides whether a ridge set is an initial segment of some shelling
-    of the boundary of an e-multiplex, by memoized depth-first search."""
-
-    def __init__(self) -> None:
-        self.segment_memo: dict[tuple[int, int, frozenset[int]], bool] = {}
-        self.complete_memo: dict[tuple[int, int, frozenset[int]], bool] = {}
-        self.states = 0
-
-    def _spend(self) -> None:
-        self.states += 1
-        if self.states > _STATE_BUDGET:
-            raise RuntimeError(
-                "topological shelling search exceeded its state budget"
-            )
-
-    def is_initial_segment(self, e: int, p: int, chosen: frozenset[int]) -> bool:
-        """Can ``chosen`` be ordered as the start of a shelling of the
-        whole boundary of the e-multiplex with p+1 vertices?"""
-        if e <= 1:
-            return True
-        key = (e, p, chosen)
-        if key in self.segment_memo:
-            return self.segment_memo[key]
-        result = self._search(e, p, frozenset(), chosen)
-        self.segment_memo[key] = result
-        return result
-
-    def _facet_ok(
-        self, e: int, p: int, placed: frozenset[int], f: int
-    ) -> bool:
-        if not placed:
-            return True
-        ridges = _ridge_walls(e, p)
-        cell, walls = ridges[f]
-        covered = shelling_walls(cell, walls, [ridges[q][0] for q in placed])
-        return covered is not None and self.is_initial_segment(
-            e - 1, cell.bit_count() - 1, frozenset(covered)
-        )
-
-    def _search(
-        self, e: int, p: int, placed: frozenset[int], chosen: frozenset[int]
-    ) -> bool:
-        seen: set[frozenset[int]] = set()
-        return self._order_chosen(e, p, placed, chosen, seen)
-
-    def _order_chosen(
-        self,
-        e: int,
-        p: int,
-        placed: frozenset[int],
-        chosen: frozenset[int],
-        seen: set[frozenset[int]],
-    ) -> bool:
-        if chosen <= placed:
-            return self._completable(e, p, placed)
-        if placed in seen:
-            return False
-        seen.add(placed)
-        self._spend()
-        for f in sorted(chosen - placed):
-            if self._facet_ok(e, p, placed, f):
-                if self._order_chosen(e, p, placed | {f}, chosen, seen):
-                    return True
-        return False
-
-    def _completable(self, e: int, p: int, placed: frozenset[int]) -> bool:
-        """Can ``placed`` be extended by the remaining facets to a full
-        shelling?  Depends only on the placed set, so globally memoized."""
-        key = (e, p, placed)
-        if key in self.complete_memo:
-            return self.complete_memo[key]
-        self._spend()
-        total = len(_ridge_sets(e, p))
-        if len(placed) == total:
-            self.complete_memo[key] = True
-            return True
-        result = False
-        for f in range(total):
-            if f in placed:
-                continue
-            if self._facet_ok(e, p, placed, f):
-                if self._completable(e, p, placed | {f}):
-                    result = True
-                    break
-        self.complete_memo[key] = result
-        return result
-
-
-_checker = _SegmentChecker()
-
-
-def verify_shelling_topological(facet_order: list[VertexSet], d: int) -> bool:
+def verify_shelling_topological(
+    facet_order: list[VertexSet], d: int
+) -> tuple[bool, VertexSet | None]:
     """Certify a facet order as a shelling straight from the definition.
 
-    For each facet past the first: its intersections with the earlier
-    facets must be covered by the ridges fully contained in earlier
-    facets, that ridge set must be nonempty, and it must be orderable as
-    the start of a shelling of the facet's own boundary (recursively).
-    Ridges come from the facet's own multiplex structure in position
-    space, so only the vertex sets and the dimension ``d`` of the
-    polytope are needed; no face lattice is read.
+    Each facet past the first must meet the earlier facets in the start
+    of a shelling of its own boundary (Ziegler, Lectures on Polytopes,
+    Def. 8.1): some ridge of the facet lies in an earlier facet, every
+    meet with an earlier facet lies in such a covered ridge, and the
+    covered ridges can be ordered as the first steps of a shelling of
+    the facet's boundary, which is decided by the same test one
+    dimension down.  Ridges come from the facet's own multiplex
+    structure in position space, so only the vertex sets and the
+    dimension ``d`` of the polytope are needed; no face lattice is read.
 
-    The state budget is charged per call; the search memo is shared by
-    all calls, so earlier calls can only make this one cheaper.
+    Returns (ok, witness), the witness being the first facet of the
+    order that breaks the rule.  The search memo and its state budget
+    belong to this call alone, so the verdict never depends on what ran
+    earlier in the process; a search that outgrows the budget raises
+    RuntimeError.
     """
-    _checker.states = 0
+    memo: dict[tuple[int, int, frozenset[int], frozenset[int] | None], bool] = {}
+
+    def fits(e: int, cell: int, walls: Sequence[int], earlier: list[int]) -> bool:
+        # The step rule for an (e-1)-cell placed after ``earlier``: its
+        # covered walls must start a shelling of its own boundary.
+        if not earlier:
+            return True
+        covered = shelling_walls(cell, walls, earlier)
+        return covered is not None and extendable(
+            e - 1, cell.bit_count() - 1, frozenset(), frozenset(covered)
+        )
+
+    def extendable(
+        e: int, p: int, placed: frozenset[int], chosen: frozenset[int]
+    ) -> bool:
+        # Can ``placed`` grow into a shelling of the boundary of the
+        # e-multiplex with p+1 vertices, placing the rest of ``chosen``
+        # first?  Once ``chosen`` is placed the answer no longer depends
+        # on it, so those keys are shared.
+        if e <= 1:
+            return True
+        rest = chosen - placed
+        key = (e, p, placed, chosen if rest else None)
+        if key in memo:
+            return memo[key]
+        ridges = _ridge_walls(e, p)
+        earlier = [ridges[q][0] for q in placed]
+        candidates = sorted(rest) if rest else range(len(ridges))
+        ok = len(placed) == len(ridges) or any(
+            f not in placed
+            and fits(e, *ridges[f], earlier)
+            and extendable(e, p, placed | {f}, chosen)
+            for f in candidates
+        )
+        memo[key] = ok
+        if len(memo) > _STATE_BUDGET:
+            raise RuntimeError("topological shelling search exceeded its state budget")
+        return ok
+
     earlier: list[int] = []
     for face in facet_order:
         cell = mask_of(face)
-        if earlier:
-            covered = shelling_walls(cell, _walls(face, d - 1), earlier)
-            if covered is None or not _checker.is_initial_segment(
-                d - 1, len(face) - 1, frozenset(covered)
-            ):
-                return False
+        if not fits(d, cell, _walls(face, d - 1), earlier):
+            return False, face
         earlier.append(cell)
-    return True
+    return True, None

@@ -110,14 +110,14 @@ class TestPartition:
 
 class TestTopological:
     def test_colex_order_is_a_shelling(self, b568):
-        ok = verify_shelling_topological([s.facet for s in b568.steps], b568.p.d)
-        assert ok
+        order = [s.facet for s in b568.steps]
+        ok, witness = verify_shelling_topological(order, b568.p.d)
+        assert ok, witness
 
     def test_reversed_colex_recorded(self, b568):
         # the reversed colex order of P^{5,6,8} is a shelling too
         order = [s.facet for s in reversed(b568.steps)]
-        result = verify_shelling_topological(order, b568.p.d)
-        assert result
+        assert verify_shelling_topological(order, b568.p.d) == (True, None)
 
     @pytest.mark.parametrize(
         "first",
@@ -130,13 +130,21 @@ class TestTopological:
         facets = [s.facet for s in b568.steps]
         head = [facets[j - 1] for j in first]
         order = head + [f for f in facets if f not in head]
-        assert not verify_shelling_topological(order, b568.p.d)
+        ok, witness = verify_shelling_topological(order, b568.p.d)
+        assert not ok
+        assert witness == facets[first[-1] - 1]
 
     def test_state_budget_is_per_call(self, bundles, monkeypatch):
-        # P^{5,6,8} spends 123 states from a cold memo and P^{7,8,10} then
-        # 347 more: each fits a budget of 400, their sum does not
-        monkeypatch.setattr(shelling, "_checker", shelling._SegmentChecker())
+        # From a cold start P^{5,6,8} spends 123 states and P^{7,8,10} 470.
+        # A budget between the two gives each the same verdict alone and
+        # after the other has run in the same process.
         monkeypatch.setattr(shelling, "_STATE_BUDGET", 400)
-        for dkn in [(5, 6, 8), (7, 8, 10)]:
-            b = bundles(*dkn)
-            assert verify_shelling_topological([s.facet for s in b.steps], b.p.d)
+        small, large = bundles(5, 6, 8), bundles(7, 8, 10)
+
+        def check(b):
+            return verify_shelling_topological([s.facet for s in b.steps], b.p.d)
+
+        for _ in range(2):
+            with pytest.raises(RuntimeError, match="state budget"):
+                check(large)
+            assert check(small) == (True, None)

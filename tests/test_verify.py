@@ -1,5 +1,7 @@
 """The cross-check harness itself: grid composition and failure reporting."""
 
+from types import SimpleNamespace
+
 from ordpoly import bijection, lattice, triangulation, verify
 from ordpoly.combinat import Params
 from ordpoly.verify import CHECK_NAMES, grid_instances, verify_instance
@@ -41,6 +43,19 @@ class TestVerifyInstance:
         by_name = {r.name: r for r in results}
         assert by_name["multiplex_suite"].ok
         assert not by_name["multiplex_suite"].detail
+
+    def test_topological_shelling_runs_on_large_n(self):
+        by_name = {r.name: r for r in verify_instance(Params(5, 6, 11))}
+        assert by_name["topological_shelling"].ok
+        assert by_name["topological_shelling"].detail == ""
+
+    def test_topological_failure_names_the_facet(self, b568):
+        steps = b568.steps
+        swapped = [*steps[:2], steps[3], steps[2], *steps[4:]]
+        bad = SimpleNamespace(p=b568.p, steps=swapped)
+        assert verify._check_topological(bad) == (
+            "facet (0, 2, 3, 5, 6) breaks the definition-level shelling test"
+        )
 
     def test_failed_lattice_is_built_once(self, monkeypatch):
         monkeypatch.setenv("ORDPOLY_MAX_FACES", "100")
