@@ -213,11 +213,6 @@ def simplex_walls(cell: int) -> list[int]:
     return [cell ^ (1 << v) for v in set_bits(cell)]
 
 
-def covered_walls(walls: Sequence[int], earlier: Sequence[int]) -> list[int]:
-    """Indices of the walls that lie inside some earlier cell."""
-    return [i for i, w in enumerate(walls) if any(w & ~e == 0 for e in earlier)]
-
-
 def shelling_walls(
     cell: int, walls: Sequence[int], earlier: Sequence[int]
 ) -> list[int] | None:
@@ -226,13 +221,15 @@ def shelling_walls(
     Past the first step (``earlier`` nonempty) some wall of ``cell`` must
     lie in an earlier cell, and every nonempty meet of ``cell`` with an
     earlier cell must sit inside one of those covered walls.  Returns the
-    covered wall indices, or None when the rule fails.
+    covered wall indices, or None when the rule fails.  A wall lies in an
+    earlier cell iff it lies in their meet, so each earlier cell is read
+    once, into the set of meets.
     """
-    covered = covered_walls(walls, earlier)
+    meets = {cell & e for e in earlier}
+    covered = [i for i, w in enumerate(walls) if any(w & ~m == 0 for m in meets)]
     if earlier and not covered:
         return None
-    for e in earlier:
-        meet = cell & e
+    for meet in meets:
         if meet and not any(meet & ~walls[i] == 0 for i in covered):
             return None
     return covered

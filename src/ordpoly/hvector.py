@@ -57,8 +57,9 @@ def toric_tables(lattice: FaceLattice) -> tuple[list[HVector], list[tuple[int, .
 
     Faces are processed bottom-up; the g of a face only depends on faces
     strictly below it, so one pass suffices: h of an e-face is the sum of
-    g_t(x) (x-1)^{e-1-t} over the t-faces strictly below it.  Index -1
-    into the h table is the empty face whose g is 1 by convention.
+    g_t(x) (x-1)^{e-1-t} over the t-faces strictly below it.  Row 0 is
+    the empty face, whose g is 1 by convention; row -1 is the top, whose
+    h is the h-vector of the polytope.
     """
     dims = lattice.dims
     count = len(lattice.faces)

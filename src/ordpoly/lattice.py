@@ -140,43 +140,26 @@ class FaceLattice:
 
     # -- carriers --------------------------------------------------------
 
+    def _carrier_row(self, mask: int) -> int:
+        """Row of the smallest face containing the vertex bitmask ``mask``.
+
+        The faces containing it are the common up-set of its vertices; the
+        lowest of those rows is their meet.
+        """
+        above = self._above(mask)
+        return (above & -above).bit_length() - 1
+
     def carrier(self, sigma: Iterable[int]) -> VertexSet:
         """Smallest face containing ``sigma``.
 
-        Computed as the intersection of all facets containing sigma; when
-        no facet does, the carrier is the whole polytope (the top face).
-        The empty set's carrier is the empty face.
+        When no facet contains sigma, the carrier is the whole polytope (the
+        top face); the empty set's carrier is the empty face.
         """
-        sig = tuple(sorted(set(sigma)))
-        if not sig:
-            return ()
-        if not set(sig) <= set(self.top()):
-            raise ValueError(f"{sig} uses labels outside the vertex set")
-        mask = mask_of(sig)
-        acc = self._masks[-1]
-        found = False
-        for fmask, fd in zip(self._masks, self.dims):
-            if fd == self.d - 1 and fmask & mask == mask:
-                acc &= fmask
-                found = True
-        if not found:
-            return self.top()
-        face = face_of(acc)
-        if face not in self._index:
-            raise AssertionError(f"carrier {face} escaped the closure")
-        return face
+        return self.faces[self._carrier_row(mask_of(sigma))]
 
     def carrier_dims(self, sigma_masks: Sequence[int]) -> list[int]:
-        """Dimensions of the carriers of many nonempty vertex bitmasks.
-
-        The faces containing sigma are the common up-set of its vertices;
-        the carrier is their lowest row.
-        """
-        out = []
-        for sigma in sigma_masks:
-            above = self._above(sigma)
-            out.append(self.dims[(above & -above).bit_length() - 1])
-        return out
+        """Dimensions of the carriers of many nonempty vertex bitmasks."""
+        return [self.dims[self._carrier_row(sigma)] for sigma in sigma_masks]
 
 
 def _maximal(masks: Iterable[int]) -> list[int]:
@@ -188,15 +171,21 @@ def _maximal(masks: Iterable[int]) -> list[int]:
     return kept
 
 
-def _closure_masks(facet_masks: list[int], top_mask: int, cap: int) -> dict[int, list[int]]:
-    """Every face of the closure, mapped to the masks of its lower covers.
+def _closure_masks(
+    facet_masks: list[int], top_mask: int, cap: int
+) -> tuple[dict[int, list[int]], dict[int, int]]:
+    """Every face of the closure, mapped to the masks of its lower covers
+    and to its depth below the top.
 
     A face below H is inside some facet that misses H, hence inside a
     meet H & F; so the maximal meets are the lower covers, and walking
-    them down from the top reaches every face.  The top is not counted
-    against the cap.
+    them down from the top, one level at a time, reaches every face.  A
+    face is first reached from its shallowest cover, and the closure is
+    graded iff every lower cover lies exactly one level below its face.
+    The top is not counted against the cap.
     """
     covers: dict[int, list[int]] = {}
+    depth = {top_mask: 0}
     frontier = [top_mask]
     while frontier:
         next_frontier = []
@@ -206,25 +195,29 @@ def _closure_masks(facet_masks: list[int], top_mask: int, cap: int) -> dict[int,
                 meets = {0}
             below = _maximal(meets)
             covers[face] = below
+            level = depth[face] + 1
             for meet in below:
-                if meet not in covers:
-                    covers[meet] = []
+                if meet not in depth:
+                    depth[meet] = level
                     next_frontier.append(meet)
-                    if len(covers) > cap + 1:
+                    if len(depth) > cap + 1:
                         raise RuntimeError(
                             f"face closure exceeds the cap of {cap} faces; "
                             "raise ORDPOLY_MAX_FACES to allow more"
                         )
+                elif depth[meet] != level:
+                    raise ValueError("face closure is not graded")
         frontier = next_frontier
-    return covers
+    return covers, depth
 
 
 def build_face_lattice(facets: Sequence[VertexSet], d: int) -> FaceLattice:
     """Intersection-closure lattice of a facet list.
 
-    Raises if the result is not a graded lattice of rank d+1 with the
-    input facets at dimension d-1 and all vertex singletons present; a
-    failure signals a bad facet list rather than a recoverable state.
+    Raises if the closure is not a graded lattice of rank d+1 with the
+    input facets one level below the top and the vertex singletons as its
+    atoms; a failure signals a bad facet list rather than a recoverable
+    state.
     """
     if not facets:
         raise ValueError("facet list is empty")
@@ -238,43 +231,28 @@ def build_face_lattice(facets: Sequence[VertexSet], d: int) -> FaceLattice:
     if top_mask in facet_masks:
         raise ValueError("a facet equals the whole vertex set")
 
-    covers = _closure_masks(facet_masks, top_mask, _max_faces())
-    # Covers are proper subsets, so ascending popcount meets them first;
-    # a face is graded iff all its lower covers share one dimension.
-    dims: dict[int, int] = {}
-    for mask in sorted(covers, key=int.bit_count):
-        below = {dims[c] for c in covers[mask]}
-        if len(below) > 1:
-            raise ValueError("face closure is not graded")
-        dims[mask] = below.pop() + 1 if below else -1
+    covers, depth = _closure_masks(facet_masks, top_mask, _max_faces())
+    rank = depth[0]  # the empty face is the deepest
+    if rank != d + 1:
+        raise ValueError(
+            f"top face has rank {rank}, expected {d + 1}: "
+            "facet list does not describe a d-polytope"
+        )
+    for f in facet_masks:
+        if depth[f] != 1:
+            raise ValueError(f"facet {face_of(f)} has dimension {d - depth[f]} != {d - 1}")
+    if {m for m, k in depth.items() if k == d} != {1 << v for v in vertices}:
+        raise ValueError("atoms of the closure are not the vertex singletons")
 
     # Numeric order of masks is colex order of the vertex sets.
-    masks = sorted(covers, key=lambda m: (dims[m], m))
+    masks = sorted(depth, key=lambda m: (-depth[m], m))
     row = {m: i for i, m in enumerate(masks)}
-    lattice = FaceLattice(
+    return FaceLattice(
         masks,
-        [dims[m] for m in masks],
+        [d - depth[m] for m in masks],
         d,
         [[row[c] for c in covers[m]] for m in masks],
     )
-    _validate_lattice(lattice, facet_masks)
-    return lattice
-
-
-def _validate_lattice(lattice: FaceLattice, facet_masks: list[int]) -> None:
-    d = lattice.d
-    if lattice.dims[-1] != d:
-        raise ValueError(
-            f"top face has rank {lattice.dims[-1] + 1}, expected {d + 1}: "
-            "facet list does not describe a d-polytope"
-        )
-    for f in map(face_of, facet_masks):
-        if lattice.dim(f) != d - 1:
-            raise ValueError(f"facet {f} has dimension {lattice.dim(f)} != {d - 1}")
-    singletons = {(v,) for v in lattice.top()}
-    atoms = {f for f, fd in zip(lattice.faces, lattice.dims) if fd == 0}
-    if atoms != singletons:
-        raise ValueError("atoms of the closure are not the vertex singletons")
 
 
 def euler_check(lattice: FaceLattice) -> bool:

@@ -22,7 +22,6 @@ from .combinat import (
     Params,
     VertexSet,
     colex_sorted,
-    covered_walls,
     is_gale,
     mask_of,
     shelling_walls,
@@ -125,7 +124,7 @@ def shelling_restriction_faces(simplices: Sequence[VertexSet]) -> list[VertexSet
         walls = simplex_walls(smask)
         covered = shelling_walls(smask, walls, earlier)
         if covered is None:
-            if not covered_walls(walls, earlier):
+            if not any(w & ~e == 0 for w in walls for e in earlier):
                 raise ValueError(f"step {idx + 1} meets no earlier simplex in a wall")
             raise ValueError(
                 f"step {idx + 1}: {simplex} meets an earlier simplex "

@@ -58,3 +58,35 @@ def antistar_new_faces(bundle) -> list[tuple[int, ...] | None]:
         )
         out.append(face)
     return out
+
+
+def carrier_by_facets(bundle, sigma) -> tuple[int, ...]:
+    """Smallest face holding ``sigma``, as the meet of the facets that do.
+
+    When no facet holds sigma the carrier is the whole vertex set; the
+    empty set's carrier is the empty face.
+    """
+    sig = set(sigma)
+    if not sig:
+        return ()
+    holding = [set(f) for f in bundle.facets if sig <= set(f)]
+    if not holding:
+        return tuple(sorted(set().union(*bundle.facets)))
+    return tuple(sorted(set.intersection(*holding)))
+
+
+def shelling_walls_by_scans(cell: int, walls, earlier) -> list[int] | None:
+    """The shelling step rule on bitmasks, scanning ``earlier`` twice.
+
+    One scan per wall finds the walls inside some earlier cell; a second
+    scan checks that every nonempty meet with an earlier cell lies in one
+    of them.  Past the first step a covered wall must exist.
+    """
+    covered = [i for i, w in enumerate(walls) if any(w & ~e == 0 for e in earlier)]
+    if earlier and not covered:
+        return None
+    for e in earlier:
+        meet = cell & e
+        if meet and not any(meet & ~walls[i] == 0 for i in covered):
+            return None
+    return covered

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import shelling_walls_by_scans
 from ordpoly.combinat import (
     Interval,
     Params,
@@ -19,6 +20,8 @@ from ordpoly.combinat import (
     paired_subsets,
     retract,
     run_containing,
+    shelling_walls,
+    simplex_walls,
 )
 
 
@@ -172,7 +175,45 @@ class TestColex:
             assert a < b
 
 
+@st.composite
+def wall_cases(draw):
+    """A cell on labels 0..9, walls inside it and earlier cells on 0..15.
+
+    The walls are the simplex walls of the cell or arbitrary proper
+    sub-masks, the empty one included.  The earlier cells are none, cells
+    disjoint from the cell, or cells that hold a wall or another part of
+    the cell plus labels outside it.
+    """
+    labels = draw(st.sets(st.integers(0, 9), min_size=1, max_size=7))
+    cell = mask_of(labels)
+    inside = sorted(labels)
+    if draw(st.booleans()):
+        walls = simplex_walls(cell)
+    else:
+        proper = st.sets(st.sampled_from(inside), max_size=len(inside) - 1)
+        walls = draw(st.lists(proper.map(mask_of), max_size=6))
+    outside = st.sets(st.sampled_from([v for v in range(16) if v not in labels])).map(mask_of)
+    kind = draw(st.sampled_from(["empty", "disjoint", "overlapping"]))
+    if kind == "empty":
+        return cell, walls, []
+    if kind == "disjoint":
+        return cell, walls, draw(st.lists(outside, min_size=1, max_size=6))
+    parts = st.sets(st.sampled_from(inside)).map(mask_of)
+    if walls:
+        parts = st.one_of(st.sampled_from(walls), parts)
+    overlapping = st.builds(int.__or__, parts, outside)
+    return cell, walls, draw(st.lists(overlapping, min_size=1, max_size=6))
+
+
 class TestMasks:
     @given(st.sets(st.integers(min_value=0, max_value=200), max_size=12))
     def test_round_trip(self, labels):
         assert face_of(mask_of(labels)) == tuple(sorted(labels))
+
+    @given(wall_cases())
+    def test_shelling_walls_matches_two_scans(self, case):
+        cell, walls, earlier = case
+        assert shelling_walls(cell, walls, earlier) == shelling_walls_by_scans(
+            cell, walls, earlier
+        )
+

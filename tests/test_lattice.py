@@ -4,6 +4,7 @@ from itertools import combinations
 
 import pytest
 
+from oracles import carrier_by_facets
 from ordpoly.combinat import Params, colex_key, mask_of
 from ordpoly.lattice import build_face_lattice, euler_check
 from ordpoly.ordinary import enumerate_facets
@@ -44,14 +45,21 @@ class TestFlagship:
             if face and lattice.dim(face) >= 0:
                 assert lattice.carrier(face) == face
 
-    def test_carrier_dims_vector(self, b568):
-        lattice = b568.lattice
-        sigmas = [(0, 8), (0, 1), (4, 5, 6)]
-        masks = [sum(1 << v for v in s) for s in sigmas]
-        dims = lattice.carrier_dims(masks)
-        assert dims[0] == lattice.dim(lattice.carrier((0, 8)))
-        assert dims[1] == 1
-        assert dims[2] == lattice.dim(lattice.carrier((4, 5, 6)))
+    def test_carrier_dims_vector(self, bundles):
+        for b in (bundles(5, 6, 8), bundles(5, 5, 8)):
+            lattice = b.lattice
+            sigmas = sorted(
+                {
+                    sub
+                    for step in b.tri_steps
+                    for size in range(1, len(step.simplex) + 1)
+                    for sub in combinations(step.simplex, size)
+                }
+            )
+            expected = [carrier_by_facets(b, s) for s in sigmas]
+            assert [lattice.carrier(s) for s in sigmas] == expected
+            dims = lattice.carrier_dims([mask_of(s) for s in sigmas])
+            assert dims == [lattice.dim(c) for c in expected]
 
     def test_carrier_in_no_facet_is_the_top(self, b568):
         lattice = b568.lattice
@@ -135,10 +143,28 @@ class TestIntervalAndDownset:
 
 class TestValidation:
     def test_rejects_missing_facet_overlap(self):
-        # two facets meeting in a set that is not closed under intersection
-        # with others still built fine; a non-graded family must be refused
-        with pytest.raises(ValueError):
+        # one facet holds every vertex of the other, so it is no facet
+        with pytest.raises(ValueError, match="a facet equals the whole vertex set"):
             build_face_lattice([(0, 1, 2), (0, 1, 2, 3)], 2)
+
+    @pytest.mark.parametrize(
+        "facets, d, message",
+        [
+            ([], 2, "facet list is empty"),
+            ([(-1, 0), (0, 1), (-1, 1)], 2, "negative vertex labels"),
+            ([(0, 1), (0, 1), (1, 2)], 2, "duplicate facets"),
+            ([(0, 1, 2), (0, 1, 2, 3)], 2, "a facet equals the whole vertex set"),
+            # the facet (0, 1, 2, 3, 4) covers both the edge (0, 1) and
+            # the vertex (3,), so no rank function fits its lower covers
+            ([(0, 1, 2, 3, 4), (0, 1, 5), (1, 2, 5), (3, 5)], 3, "face closure is not graded"),
+            (list(combinations(range(5), 4)), 3, r"top face has rank 5, expected 4"),
+            ([(0, 1), (1, 2), (0, 2), (0,)], 2, r"facet \(0,\) has dimension 0 != 1"),
+            ([(0, 1, 2), (0, 1, 3), (2, 3)], 2, "atoms of the closure are not the vertex singletons"),
+        ],
+    )
+    def test_refusals(self, facets, d, message):
+        with pytest.raises(ValueError, match=message):
+            build_face_lattice(facets, d)
 
     def test_cyclic_cell_count(self):
         p = Params(5, 6, 6)
