@@ -4,7 +4,8 @@ Every rendering decision lives here: each verb builds one list of row
 tuples from an ``InstanceBundle`` and renders it as text, JSON records or
 CSV.  All output is deterministic byte for byte: orderings are fixed by
 colex or step index, and JSON is emitted with sorted keys.  Exit codes:
-0 success, 1 verification or agreement failure, 2 argument errors.
+0 success, 1 verification or agreement failure, 2 argument errors, 3 not
+evaluated because the face closure passed the face cap.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import asdict
 
 from .bijection import bijection_records
 from .combinat import Params
-from .lattice import _max_faces
+from .lattice import FaceCapError, _max_faces
 from .multiplex import (
     multiplex_boundary_triangulation,
     multiplex_facets,
@@ -303,6 +304,9 @@ def main(argv=None) -> int:
         code, out = _VERBS[args.verb](InstanceBundle(p), args)
     except ValueError as exc:
         return _fail_args(str(exc))
+    except FaceCapError as exc:
+        print(f"not evaluated: {exc}", file=sys.stderr)
+        return 3
 
     stream = sys.stderr if code == 2 else sys.stdout
     print(out, file=stream)

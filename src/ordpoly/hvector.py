@@ -3,7 +3,10 @@
 The four routes: the toric g/h recursion over the whole face lattice, a
 closed binomial form, the modified-f-vector expansion, and the h-vector
 of the shallow boundary triangulation (module ``triangulation``).  Their
-exact agreement on every instance is the library's core claim.
+exact agreement on every instance is the library's core claim.  The
+recursion sums g once per class of faces with the same dimension and the
+same g: one popcount of a down-set per class, not one step per face
+below.
 
 Also here: the fake-simplicial h' (from the shelling's new-face sizes or
 from the f-vector), and the per-step contributions a_j that measure
@@ -57,45 +60,44 @@ def toric_tables(lattice: FaceLattice) -> tuple[list[HVector], list[tuple[int, .
 
     Faces are processed bottom-up; the g of a face only depends on faces
     strictly below it, so one pass suffices: h of an e-face is the sum of
-    g_t(x) (x-1)^{e-1-t} over the t-faces strictly below it.  Row 0 is
+    g_t(x) (x-1)^{e-1-t} over the t-faces strictly below it.  Faces of
+    the same dimension t and the same g give the same term, so finished
+    rows are kept as one bitset per (t, g) class, and the sum over a
+    down-set is one popcount per class times that class's g.  Row 0 is
     the empty face, whose g is 1 by convention; row -1 is the top, whose
     h is the h-vector of the polytope.
+
+    The recursion assumes an Eulerian lattice, which ``euler_check``
+    judges; it does not test it.  h_0 is 1 on every lattice: the empty
+    face lies below every face and gives (x-1)^e, and a t-face with
+    t >= 0 has g_i only for i <= t/2, so its term has degree below e.
     """
     dims = lattice.dims
-    count = len(lattice.faces)
+    down = lattice._down
+    count = len(dims)
     h_list: list[HVector] = [()] * count
     g_list: list[tuple[int, ...]] = [(1,)] * count
+    classes: dict[tuple[int, tuple[int, ...]], int] = {}  # (t, g) -> rows
 
     for row in range(count):
         e = dims[row]
         if e == -1:
             h_list[row] = (1,)
-            continue
-        # g summed over the faces strictly below, grouped by dimension
-        g_sums: dict[int, list[int]] = {}
-        for r in lattice.downset(row)[:-1]:
-            acc = g_sums.setdefault(dims[r], [0] * (e // 2 + 1))
-            for i, gi in enumerate(g_list[r]):
-                acc[i] += gi
-        h_vec = expand_x_minus_one(
-            (
-                (gi, i, e - 1 - t)
-                for t, g_sum in g_sums.items()
-                for i, gi in enumerate(g_sum)
-                if gi
-            ),
-            e,
-        )
-        if h_vec[0] != 1:
-            raise ValueError(
-                f"toric recursion gave h_0 = {h_vec[0]} on a {e}-face; "
-                "the input lattice is not Eulerian"
-            )
-        h_list[row] = h_vec
-        g = [1] + [h_vec[i] - h_vec[i - 1] for i in range(1, e // 2 + 1)]
-        while g[-1] == 0:
-            g.pop()
-        g_list[row] = tuple(g)
+        else:
+            below = down[row]  # the class bitsets hold finished rows only
+            terms = []
+            for (t, g_t), bits in classes.items():
+                if t < e:  # no face of dimension e lies below this one
+                    c = (below & bits).bit_count()
+                    if c:
+                        terms += [(c * gi, i, e - 1 - t) for i, gi in enumerate(g_t) if gi]
+            h_vec = expand_x_minus_one(terms, e)
+            g = [1] + [h_vec[i] - h_vec[i - 1] for i in range(1, e // 2 + 1)]
+            while g[-1] == 0:
+                g.pop()
+            h_list[row], g_list[row] = h_vec, tuple(g)
+        cls = (e, g_list[row])
+        classes[cls] = classes.get(cls, 0) | 1 << row
     return h_list, g_list
 
 

@@ -41,6 +41,11 @@ def _max_faces() -> int:
     return cap
 
 
+class FaceCapError(RuntimeError):
+    """The face closure passed ORDPOLY_MAX_FACES: a resource limit was hit,
+    so nothing was evaluated; not a mathematical failure."""
+
+
 class FaceLattice:
     """Graded face lattice of a polytope, from the empty face to the top.
 
@@ -166,7 +171,10 @@ def _maximal(masks: Iterable[int]) -> list[int]:
     """The inclusion-maximal members of a set of distinct masks."""
     kept: list[int] = []
     for m in sorted(masks, key=int.bit_count, reverse=True):
-        if all(m & k != m for k in kept):
+        for k in kept:
+            if m & k == m:
+                break
+        else:
             kept.append(m)
     return kept
 
@@ -190,7 +198,7 @@ def _closure_masks(
     while frontier:
         next_frontier = []
         for face in frontier:
-            meets = {face & f for f in facet_masks if face & f != face}
+            meets = {m for f in facet_masks if (m := face & f) != face}
             if not meets and face:  # inside every facet: covers only the empty face
                 meets = {0}
             below = _maximal(meets)
@@ -201,7 +209,7 @@ def _closure_masks(
                     depth[meet] = level
                     next_frontier.append(meet)
                     if len(depth) > cap + 1:
-                        raise RuntimeError(
+                        raise FaceCapError(
                             f"face closure exceeds the cap of {cap} faces; "
                             "raise ORDPOLY_MAX_FACES to allow more"
                         )

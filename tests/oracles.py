@@ -6,7 +6,30 @@ the library's run/shift machinery in the loop, so they can arbitrate.
 
 from itertools import combinations
 
-from ordpoly.combinat import colex_key
+from ordpoly.combinat import colex_key, set_bits
+from ordpoly.hvector import expand_x_minus_one
+
+# Graded closures that are not Eulerian, as (facets, d): each breaks the
+# Moebius condition in a different place (see TestNotEulerian).
+NOT_EULERIAN = {
+    "k4_edges": (list(combinations(range(4), 2)), 2),
+    "seven_vertex_torus": (
+        sorted(
+            tuple(sorted((i + a) % 7 for a in offsets))
+            for i in range(7)
+            for offsets in ((0, 1, 3), (0, 2, 3))
+        ),
+        3,
+    ),
+    "octahedron_minus_a_triangle": (
+        [(0, 2, 4), (0, 2, 5), (0, 3, 4), (0, 3, 5), (1, 2, 4), (1, 3, 4), (1, 3, 5)],
+        3,
+    ),
+    "edge_with_three_vertices": (
+        [(0, 1, 3, 4), (0, 2, 4, 6), (0, 3, 6), (1, 2, 3, 4, 5), (1, 2, 6), (1, 5, 6), (3, 5, 6)],
+        3,
+    ),
+}
 
 
 def brute_cyclic_facets(d: int, n: int) -> list[tuple[int, ...]]:
@@ -90,3 +113,37 @@ def shelling_walls_by_scans(cell: int, walls, earlier) -> list[int] | None:
         if meet and not any(meet & ~walls[i] == 0 for i in covered):
             return None
     return covered
+
+
+def toric_by_rows(lattice) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """The toric h and g of every face, summing g row by row.
+
+    Expands each down-set into its rows and adds up, per dimension, the
+    g of every face strictly below, with no grouping of equal terms.
+    """
+    dims = lattice.dims
+    h_list: list[tuple[int, ...]] = [()] * len(dims)
+    g_list: list[tuple[int, ...]] = [(1,)] * len(dims)
+    for row, e in enumerate(dims):
+        if e == -1:
+            h_list[row] = (1,)
+            continue
+        g_sums: dict[int, list[int]] = {}
+        for r in set_bits(lattice._down[row])[:-1]:
+            acc = g_sums.setdefault(dims[r], [0] * (e // 2 + 1))
+            for i, gi in enumerate(g_list[r]):
+                acc[i] += gi
+        h = expand_x_minus_one(
+            (
+                (gi, i, e - 1 - t)
+                for t, g_sum in g_sums.items()
+                for i, gi in enumerate(g_sum)
+                if gi
+            ),
+            e,
+        )
+        g = [1] + [h[i] - h[i - 1] for i in range(1, e // 2 + 1)]
+        while g[-1] == 0:
+            g.pop()
+        h_list[row], g_list[row] = h, tuple(g)
+    return h_list, g_list

@@ -320,6 +320,22 @@ class TestFaceCap:
         failed = [line[5:].split(":")[0] for line in lines if line.startswith("FAIL ")]
         assert failed == LATTICE_CHECKS
 
+    @pytest.mark.parametrize(
+        "argv", [("hvector", "7", "9", "12"), ("facets", "7", "9", "12", "--format", "json")]
+    )
+    def test_small_cap_is_not_evaluated(self, argv):
+        src = os.path.dirname(os.path.dirname(ordpoly.__file__))
+        env = {**os.environ, "PYTHONPATH": src, "ORDPOLY_MAX_FACES": "100"}
+        proc = subprocess.run(
+            [sys.executable, "-m", "ordpoly.cli", *argv], env=env, capture_output=True, text=True
+        )
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            "not evaluated: face closure exceeds the cap of 100 faces; "
+            "raise ORDPOLY_MAX_FACES to allow more\n"
+        )
+
 
 def test_import_leaves_numpy_unloaded():
     src = os.path.dirname(os.path.dirname(ordpoly.__file__))

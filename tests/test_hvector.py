@@ -4,6 +4,7 @@ from math import comb
 
 import pytest
 
+from oracles import NOT_EULERIAN, toric_by_rows
 from ordpoly.combinat import Params
 from ordpoly.hvector import (
     contribution_total,
@@ -14,7 +15,8 @@ from ordpoly.hvector import (
     shelling_contributions,
     toric_tables,
 )
-from ordpoly.verify import InstanceBundle
+from ordpoly.lattice import build_face_lattice
+from ordpoly.verify import InstanceBundle, grid_instances
 
 
 class TestClosedForm:
@@ -59,6 +61,20 @@ class TestToric:
 
     def test_toric_g_of_simplex_face(self, b568):
         assert b568.toric[1][b568.lattice.index((0, 1, 2, 3, 4))] == (1,)
+
+
+class TestToricByClass:
+    """The per-class sums against the row-by-row walk, row for row."""
+
+    @pytest.mark.parametrize("p", [*grid_instances(), Params(7, 9, 20)], ids=str)
+    def test_matches_rows_on_instances(self, p, bundles):
+        b = bundles(p.d, p.k, p.n)
+        assert toric_tables(b.lattice) == toric_by_rows(b.lattice)
+
+    @pytest.mark.parametrize("name", NOT_EULERIAN)
+    def test_matches_rows_off_eulerian(self, name):
+        lattice = build_face_lattice(*NOT_EULERIAN[name])
+        assert toric_tables(lattice) == toric_by_rows(lattice)
 
 
 class TestMultiplicial:

@@ -3,10 +3,13 @@
 from itertools import combinations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from oracles import carrier_by_facets
+from oracles import NOT_EULERIAN, carrier_by_facets
 from ordpoly.combinat import Params, colex_key, mask_of
-from ordpoly.lattice import build_face_lattice, euler_check
+from ordpoly.hvector import toric_tables
+from ordpoly.lattice import _maximal, build_face_lattice, euler_check
 from ordpoly.ordinary import enumerate_facets
 
 
@@ -86,17 +89,12 @@ class TestNotEulerian:
     def test_k4_edges(self):
         # graded, with the six edges as facets of rank 2, but the whole
         # interval holds 5 faces of even dimension and 7 of odd
-        lattice = build_face_lattice(list(combinations(range(4), 2)), 2)
+        lattice = build_face_lattice(*NOT_EULERIAN["k4_edges"])
         assert lattice.f_vector() == (4, 6)
         assert not euler_check(lattice)
 
     def test_seven_vertex_torus(self):
-        triangles = sorted(
-            tuple(sorted((i + a) % 7 for a in offsets))
-            for i in range(7)
-            for offsets in ((0, 1, 3), (0, 2, 3))
-        )
-        lattice = build_face_lattice(triangles, 3)
+        lattice = build_face_lattice(*NOT_EULERIAN["seven_vertex_torus"])
         assert lattice.f_vector() == (7, 21, 14)
         # every interval of length two is a diamond, so only a test over
         # all intervals sees that the Euler characteristic is 0, not 2
@@ -109,8 +107,7 @@ class TestNotEulerian:
         # a disk: the three edges of the missing triangle (1, 2, 5) lie in
         # one facet each, so they are not meets; intervals below the three
         # facets around the hole fail, not only intervals ending at the top
-        facets = [(0, 2, 4), (0, 2, 5), (0, 3, 4), (0, 3, 5), (1, 2, 4), (1, 3, 4), (1, 3, 5)]
-        lattice = build_face_lattice(facets, 3)
+        lattice = build_face_lattice(*NOT_EULERIAN["octahedron_minus_a_triangle"])
         assert lattice.f_vector() == (6, 9, 7)
         assert not euler_check(lattice)
 
@@ -118,13 +115,20 @@ class TestNotEulerian:
         # a 2-sphere whose facets (0, 1, 3, 4) and (1, 2, 3, 4, 5) meet in
         # the path 3-1-4: every interval ending at the top holds, but the
         # edge (1, 3, 4) and the intervals from vertex 1 to both facets fail
-        facets = [(0, 1, 3, 4), (0, 2, 4, 6), (0, 3, 6), (1, 2, 3, 4, 5), (1, 2, 6), (1, 5, 6), (3, 5, 6)]
-        lattice = build_face_lattice(facets, 3)
+        lattice = build_face_lattice(*NOT_EULERIAN["edge_with_three_vertices"])
         assert lattice.f_vector() == (7, 12, 7)
         for face in lattice.faces[:-1]:
             rows = lattice.interval_rows(face, lattice.top())
             even = sum(1 for r in rows if lattice.dims[r] % 2 == 0)
             assert 2 * even == len(rows)
+        assert not euler_check(lattice)
+
+    @pytest.mark.parametrize("name", NOT_EULERIAN)
+    def test_toric_recursion_leaves_the_verdict_to_euler_check(self, name):
+        # h_0 = 1 on every lattice: only the empty face reaches degree e
+        lattice = build_face_lattice(*NOT_EULERIAN[name])
+        h_list, _ = toric_tables(lattice)
+        assert all(h[0] == 1 for h in h_list)
         assert not euler_check(lattice)
 
 
@@ -186,3 +190,10 @@ class TestFaceCap:
         monkeypatch.setenv("ORDPOLY_MAX_FACES", "100")
         with pytest.raises(RuntimeError, match="cap of 100 faces"):
             build_face_lattice(enumerate_facets(Params(7, 9, 12)), 7)
+
+
+@given(st.sets(st.integers(0, 255), max_size=12))
+def test_maximal_keeps_the_members_no_other_contains(masks):
+    brute = {m for m in masks if not any(m != o and m & o == m for o in masks)}
+    kept = _maximal(masks)
+    assert len(kept) == len(brute) and set(kept) == brute
