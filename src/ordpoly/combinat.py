@@ -5,7 +5,8 @@ set, stored as a strictly increasing tuple of integer labels.  This module
 supplies the primitive operations on such sets: retraction (clamping into
 [0, n]), Gale evenness, paired subsets, maximal runs, even positions, the
 colexicographic order used throughout, and the bitmask encoding (bit v set
-iff label v is in the set) with the shelling wall test built on it.
+iff label v is in the set) with the maximal-masks helper and the shelling
+wall test built on it.
 """
 
 from __future__ import annotations
@@ -207,6 +208,18 @@ def face_of(mask: int) -> VertexSet:
     return tuple(set_bits(mask))
 
 
+def _maximal(masks: Iterable[int]) -> list[int]:
+    """The inclusion-maximal members of a set of distinct masks."""
+    kept: list[int] = []
+    for m in sorted(masks, key=int.bit_count, reverse=True):
+        for k in kept:
+            if m & k == m:
+                break
+        else:
+            kept.append(m)
+    return kept
+
+
 def simplex_walls(cell: int) -> list[int]:
     """Walls of a simplex mask: the cell minus one vertex, by increasing
     removed vertex."""
@@ -222,10 +235,10 @@ def shelling_walls(
     lie in an earlier cell, and every nonempty meet of ``cell`` with an
     earlier cell must sit inside one of those covered walls.  Returns the
     covered wall indices, or None when the rule fails.  A wall lies in an
-    earlier cell iff it lies in their meet, so each earlier cell is read
-    once, into the set of meets.
+    earlier cell iff it lies in their meet, and every meet lies in a
+    maximal one, so both conditions read the maximal meets alone.
     """
-    meets = {cell & e for e in earlier}
+    meets = _maximal({cell & e for e in earlier})
     covered = [i for i, w in enumerate(walls) if any(w & ~m == 0 for m in meets)]
     if earlier and not covered:
         return None

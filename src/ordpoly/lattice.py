@@ -23,7 +23,7 @@ from __future__ import annotations
 import os
 from typing import Iterable, Sequence
 
-from .combinat import VertexSet, face_of, mask_of, set_bits
+from .combinat import VertexSet, _maximal, face_of, mask_of, set_bits
 
 DEFAULT_MAX_FACES = 200_000
 
@@ -103,10 +103,6 @@ class FaceLattice:
     def top(self) -> VertexSet:
         return self.faces[-1]
 
-    def downset(self, row: int) -> list[int]:
-        """Rows of all faces weakly below ``row``, ascending."""
-        return set_bits(self._down[row])
-
     def _above(self, mask: int) -> int:
         """Bitset of the rows of all faces containing the vertex bitmask ``mask``.
 
@@ -165,18 +161,6 @@ class FaceLattice:
     def carrier_dims(self, sigma_masks: Sequence[int]) -> list[int]:
         """Dimensions of the carriers of many nonempty vertex bitmasks."""
         return [self.dims[self._carrier_row(sigma)] for sigma in sigma_masks]
-
-
-def _maximal(masks: Iterable[int]) -> list[int]:
-    """The inclusion-maximal members of a set of distinct masks."""
-    kept: list[int] = []
-    for m in sorted(masks, key=int.bit_count, reverse=True):
-        for k in kept:
-            if m & k == m:
-                break
-        else:
-            kept.append(m)
-    return kept
 
 
 def _closure_masks(

@@ -28,6 +28,7 @@ from .combinat import (
     mask_of,
     maximal_runs,
     run_containing,
+    set_bits,
     shelling_walls,
 )
 from .lattice import FaceLattice
@@ -195,32 +196,21 @@ def verify_shelling_partition(
 def boolean_interval_check(lattice: FaceLattice, bottom: VertexSet, top: VertexSet) -> bool:
     """Certify that the interval [bottom, top] is a Boolean lattice.
 
-    Checks the element count 2^c, the atom count c, and that joins of
-    atom subsets are pairwise distinct, which pins the isomorphism type.
+    Checks the element count 2^c, the atom count c, and that no two
+    elements lie above the same set of atoms, so each subset of atoms is
+    the atom set of exactly one element.  An atom lies below a meet iff it
+    lies below both sides, and face-lattice intervals are closed under
+    intersection, so that bijection is an order isomorphism.
     """
     rows = lattice.interval_rows(bottom, top)
     c = lattice.dim(top) - lattice.dim(bottom)
     if len(rows) != 2**c:
         return False
     bottom_dim = lattice.dim(bottom)
-    atom_rows = [r for r in rows if lattice.dims[r] == bottom_dim + 1]
-    if len(atom_rows) != c:
+    atoms = sum(1 << r for r in rows if lattice.dims[r] == bottom_dim + 1)
+    if atoms.bit_count() != c:
         return False
-    interval_masks = [lattice._masks[r] for r in rows]
-    atom_masks = [lattice._masks[r] for r in atom_rows]
-    bottom_mask, top_mask = interval_masks[0], interval_masks[-1]
-    joins: set[int] = set()
-    for bits in range(2**c):
-        union = bottom_mask
-        for t in range(c):
-            if bits >> t & 1:
-                union |= atom_masks[t]
-        join = top_mask
-        for m in interval_masks:
-            if m & union == union:
-                join &= m
-        joins.add(join)
-    return len(joins) == 2**c
+    return len({lattice._down[r] & atoms for r in rows}) == 2**c
 
 
 # -- topological shelling (Definition-level certification) ----------------
@@ -229,28 +219,24 @@ _STATE_BUDGET = 500_000
 
 
 @lru_cache(maxsize=None)
-def _ridge_sets(e: int, p: int) -> tuple[VertexSet, ...]:
-    """Facets of an e-multiplex with p+1 vertices, in position space."""
+def _ridge_walls(e: int, p: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """(mask, wall masks) of each facet of the e-multiplex with p+1
+    vertices, in position space.  For e = 1 these are the two ends of an
+    edge, whose walls are never read."""
     if e == 1:
         if p != 1:
             raise ValueError(f"a 1-face has exactly 2 vertices, got {p + 1}")
-        return ((0,), (1,))
-    return tuple(multiplex_facets(e, p))
+        return ((0b01, ()), (0b10, ()))
+    return tuple((mask_of(r), tuple(_walls(r, e - 1))) for r in multiplex_facets(e, p))
 
 
 def _walls(face: VertexSet, e: int) -> list[int]:
     """Wall masks of an e-face, seen as an e-multiplex on its own vertices:
     its ridges carried from position space to the face's labels."""
     return [
-        mask_of(face[t] for t in ridge) for ridge in _ridge_sets(e, len(face) - 1)
+        mask_of(face[t] for t in set_bits(ridge))
+        for ridge, _ in _ridge_walls(e, len(face) - 1)
     ]
-
-
-@lru_cache(maxsize=None)
-def _ridge_walls(e: int, p: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """(mask, wall masks) of each facet of the e-multiplex with p+1
-    vertices, in position space."""
-    return tuple((mask_of(r), tuple(_walls(r, e - 1))) for r in _ridge_sets(e, p))
 
 
 def verify_shelling_topological(

@@ -125,7 +125,9 @@ def shelling_restriction_faces(simplices: Sequence[VertexSet]) -> list[VertexSet
         covered = shelling_walls(smask, walls, earlier)
         if covered is None:
             if not any(w & ~e == 0 for w in walls for e in earlier):
-                raise ValueError(f"step {idx + 1} meets no earlier simplex in a wall")
+                raise ValueError(
+                    f"step {idx + 1}: {simplex} meets no earlier simplex in a wall"
+                )
             raise ValueError(
                 f"step {idx + 1}: {simplex} meets an earlier simplex "
                 "outside every covered wall"

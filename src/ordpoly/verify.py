@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, zip_longest
 
 from .bijection import bijection_records, count_by_size, subset_to_facet
 from .combinat import Params, VertexSet, colex_key
@@ -327,7 +327,15 @@ def _check_multiplex_suite(b: InstanceBundle) -> str:
         + [multiplex_facet(d, n, n)]
     )
     if b.facets != expected_order:
-        return "colex order is not the window pattern"
+        j, got, want = next(
+            (j, f, g)
+            for j, (f, g) in enumerate(zip_longest(b.facets, expected_order), 1)
+            if f != g
+        )
+        return (
+            f"colex order is not the window pattern: step {j} is {got}, "
+            f"the pattern has {want}"
+        )
     if b.h != (1,) + (r + 1,) * (d - 1) + (1,):
         return f"toric h = {b.h}, expected flat {r + 1}"
     if b.h_prime != (1, r + 1) + (1,) * (d - 1):
@@ -337,8 +345,9 @@ def _check_multiplex_suite(b: InstanceBundle) -> str:
     if solid_h != (1, r) + (0,) * d:
         return f"solid subdivision h = {list(solid_h)}"
     boundary = multiplex_boundary_triangulation(d, n)
-    if {bs.simplex for bs in boundary} != {s.simplex for s in b.tri_steps}:
-        return "boundary triangulations disagree"
+    extra = {bs.simplex for bs in boundary} ^ {s.simplex for s in b.tri_steps}
+    if extra:
+        return f"boundary triangulations disagree on {sorted(extra)[:3]}"
     boundary_new = shelling_restriction_faces([bs.simplex for bs in boundary])
     counts = new_face_counts(boundary_new, d)
     if counts != b.h:

@@ -62,7 +62,7 @@ def antistar_new_faces(bundle) -> list[tuple[int, ...] | None]:
     masks = [sum(1 << v for v in f) for f in facets]
     out = []
     for j, f in enumerate(facets):
-        rows = lattice.downset(lattice.index(f))
+        rows = lattice.interval_rows((), f)
         fresh = []
         for r in rows:
             face = lattice.faces[r]
@@ -81,6 +81,39 @@ def antistar_new_faces(bundle) -> list[tuple[int, ...] | None]:
         )
         out.append(face)
     return out
+
+
+def boolean_by_joins(lattice, bottom, top) -> bool:
+    """Booleanness of [bottom, top] by the joins of atom subsets.
+
+    Checks the element count 2^c and the atom count c, then forms the
+    join of every one of the 2^c atom subsets by scanning the whole
+    interval for the faces above it, and asks that the joins be pairwise
+    distinct.
+    """
+    rows = lattice.interval_rows(bottom, top)
+    c = lattice.dim(top) - lattice.dim(bottom)
+    if len(rows) != 2**c:
+        return False
+    bottom_dim = lattice.dim(bottom)
+    atom_rows = [r for r in rows if lattice.dims[r] == bottom_dim + 1]
+    if len(atom_rows) != c:
+        return False
+    interval_masks = [lattice._masks[r] for r in rows]
+    atom_masks = [lattice._masks[r] for r in atom_rows]
+    bottom_mask, top_mask = interval_masks[0], interval_masks[-1]
+    joins: set[int] = set()
+    for bits in range(2**c):
+        union = bottom_mask
+        for t in range(c):
+            if bits >> t & 1:
+                union |= atom_masks[t]
+        join = top_mask
+        for m in interval_masks:
+            if m & union == union:
+                join &= m
+        joins.add(join)
+    return len(joins) == 2**c
 
 
 def carrier_by_facets(bundle, sigma) -> tuple[int, ...]:

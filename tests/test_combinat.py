@@ -10,6 +10,7 @@ from oracles import shelling_walls_by_scans
 from ordpoly.combinat import (
     Interval,
     Params,
+    _maximal,
     colex_key,
     colex_sorted,
     even_positions,
@@ -217,3 +218,9 @@ class TestMasks:
             cell, walls, earlier
         )
 
+
+@given(st.sets(st.integers(0, 255), max_size=12))
+def test_maximal_keeps_the_members_no_other_contains(masks):
+    brute = {m for m in masks if not any(m != o and m & o == m for o in masks)}
+    kept = _maximal(masks)
+    assert len(kept) == len(brute) and set(kept) == brute

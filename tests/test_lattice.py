@@ -3,13 +3,11 @@
 from itertools import combinations
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from oracles import NOT_EULERIAN, carrier_by_facets
 from ordpoly.combinat import Params, colex_key, mask_of
 from ordpoly.hvector import toric_tables
-from ordpoly.lattice import _maximal, build_face_lattice, euler_check
+from ordpoly.lattice import build_face_lattice, euler_check
 from ordpoly.ordinary import enumerate_facets
 
 
@@ -190,10 +188,3 @@ class TestFaceCap:
         monkeypatch.setenv("ORDPOLY_MAX_FACES", "100")
         with pytest.raises(RuntimeError, match="cap of 100 faces"):
             build_face_lattice(enumerate_facets(Params(7, 9, 12)), 7)
-
-
-@given(st.sets(st.integers(0, 255), max_size=12))
-def test_maximal_keeps_the_members_no_other_contains(masks):
-    brute = {m for m in masks if not any(m != o and m & o == m for o in masks)}
-    kept = _maximal(masks)
-    assert len(kept) == len(brute) and set(kept) == brute

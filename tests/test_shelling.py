@@ -2,10 +2,12 @@
 
 import pytest
 
-from oracles import antistar_new_faces
+from oracles import NOT_EULERIAN, antistar_new_faces, boolean_by_joins
 from ordpoly import shelling
-from ordpoly.combinat import Interval, Params
+from ordpoly.combinat import Interval, Params, set_bits
+from ordpoly.lattice import build_face_lattice
 from ordpoly.shelling import (
+    boolean_interval_check,
     colex_shelling,
     decompose_facet,
     minimal_new_face_nonrecursive,
@@ -106,6 +108,37 @@ class TestPartition:
         b = bundles(*dkn)
         ok, witness = verify_shelling_partition(b.lattice, b.steps)
         assert ok, witness
+
+
+class TestBooleanIntervals:
+    def test_atom_sets_agree_with_joins_on_every_pair(self, bundles):
+        # Every colex step interval of the grid is Boolean, so the steps
+        # alone never reach a refusal; across every comparable pair of
+        # these lattices, 572 of the 11 666 intervals are refused.
+        instances = [(5, 6, 8), (4, 4, 7), (5, 5, 8), (6, 6, 9), (5, 7, 9)]
+        lattices = [bundles(*dkn).lattice for dkn in instances]
+        lattices += [build_face_lattice(*case) for case in NOT_EULERIAN.values()]
+        verdicts = []
+        for lattice in lattices:
+            for y, top in enumerate(lattice.faces):
+                for x in set_bits(lattice._down[y]):
+                    bottom = lattice.faces[x]
+                    got = boolean_interval_check(lattice, bottom, top)
+                    assert got == boolean_by_joins(lattice, bottom, top), (bottom, top)
+                    verdicts.append(got)
+        assert (len(verdicts), verdicts.count(False)) == (11_666, 572)
+
+    def test_counts_alone_do_not_pass_an_interval(self, b568):
+        # P^{5,6,8} less one facet still closes to a graded lattice; there
+        # this interval has 2^3 faces and 3 atoms, yet two of its faces lie
+        # above the same atoms, so it is not Boolean.
+        lattice = build_face_lattice([f for f in b568.facets if f != (0, 1, 3, 4, 6, 7)], 5)
+        bottom, top = (3, 6), (0, 1, 2, 3, 6, 7, 8)
+        rows = lattice.interval_rows(bottom, top)
+        assert len(rows) == 8
+        assert [lattice.dims[r] for r in rows].count(lattice.dim(bottom) + 1) == 3
+        assert not boolean_by_joins(lattice, bottom, top)
+        assert not boolean_interval_check(lattice, bottom, top)
 
 
 class TestTopological:

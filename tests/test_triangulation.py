@@ -85,6 +85,13 @@ class TestRestrictionOracle:
         with pytest.raises(ValueError, match="meets no earlier simplex in a wall"):
             shelling_restriction_faces([(0, 1, 2), (1, 2, 3), (0, 3, 4)])
 
+    def test_wall_refusal_names_the_simplex(self):
+        with pytest.raises(
+            ValueError,
+            match=r"^step 3: \(0, 3, 4\) meets no earlier simplex in a wall$",
+        ):
+            shelling_restriction_faces([(0, 1, 2), (1, 2, 3), (0, 3, 4)])
+
     def test_rejects_meet_outside_covered_walls(self):
         with pytest.raises(ValueError, match="outside every covered wall"):
             shelling_restriction_faces([(0, 1, 2), (1, 2, 3), (2, 3, 4), (0, 3, 4)])

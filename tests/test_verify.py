@@ -57,6 +57,27 @@ class TestVerifyInstance:
             "facet (0, 2, 3, 5, 6) breaks the definition-level shelling test"
         )
 
+    def test_multiplex_order_failure_names_the_step(self, m58):
+        facets = m58.facets
+        swapped = [*facets[:2], facets[3], facets[2], *facets[4:]]
+        bad = SimpleNamespace(p=m58.p, facets=swapped)
+        assert verify._check_multiplex_suite(bad) == (
+            f"colex order is not the window pattern: step 3 is {facets[3]}, "
+            f"the pattern has {facets[2]}"
+        )
+
+    def test_multiplex_boundary_failure_names_the_simplices(self, m58):
+        bad = SimpleNamespace(
+            p=m58.p,
+            facets=m58.facets,
+            h=m58.h,
+            h_prime=m58.h_prime,
+            tri_steps=m58.tri_steps[:-1],
+        )
+        assert verify._check_multiplex_suite(bad) == (
+            f"boundary triangulations disagree on [{m58.tri_steps[-1].simplex}]"
+        )
+
     def test_failed_lattice_is_built_once(self, monkeypatch):
         monkeypatch.setenv("ORDPOLY_MAX_FACES", "100")
         calls = []
