@@ -12,6 +12,10 @@ stored order relation is the down-set of each face, an integer bitset
 over rows OR-ed along the covers.  Faces are ordered by containment, so
 the faces above a face are the faces above each of its vertices: up-sets
 are ANDs of the n+1 per-vertex up-sets and are never stored per face.
+The lattice also stores one representative row per class of lower
+intervals: faces whose down-sets agree once each face's vertices are
+renumbered 0, 1, ... in increasing order.  Every interval [x, y] is
+isomorphic to an interval ending at the representative of y's class.
 
 The closure size is capped by the ORDPOLY_MAX_FACES environment variable
 (a positive integer, default 200000) so a typo in the parameters cannot
@@ -46,6 +50,18 @@ class FaceCapError(RuntimeError):
     so nothing was evaluated; not a mathematical failure."""
 
 
+def _positions(sub: int, mask: int) -> int:
+    """The bitmask ``sub`` of a subset of ``mask``, renumbered onto the
+    positions 0..|mask|-1 of mask's vertices in increasing order."""
+    out = (1 << mask.bit_count()) - 1
+    missing = mask ^ sub
+    while missing:
+        low = missing & -missing
+        out ^= 1 << (mask & (low - 1)).bit_count()
+        missing ^= low
+    return out
+
+
 class FaceLattice:
     """Graded face lattice of a polytope, from the empty face to the top.
 
@@ -55,7 +71,9 @@ class FaceLattice:
     built and validated by ``build_face_lattice``.
     """
 
-    __slots__ = ("faces", "dims", "d", "n", "_masks", "_index", "_down", "_vertex_rows")
+    __slots__ = (
+        "faces", "dims", "d", "n", "_masks", "_index", "_down", "_vertex_rows", "_class_reps"
+    )
 
     def __init__(
         self,
@@ -70,13 +88,30 @@ class FaceLattice:
         self.d = d
         self.n = self._masks[-1].bit_length() - 1
         self._index = {f: i for i, f in enumerate(self.faces)}
-        # Covers point to lower rows, so one ascending pass fills the down-sets.
+        # Covers point to lower rows, so one ascending pass fills the
+        # down-sets and the classes.  A face's class key is its size and,
+        # per lower cover, the cover renumbered into the face's vertex
+        # positions with the cover's class.  The covers are the maximal
+        # faces below, so equal keys rebuild equal renumbered down-sets,
+        # and equal down-sets give equal keys: the key is exact.
         self._down: list[int] = []
+        classes: dict[tuple[int, frozenset[tuple[int, int]]], int] = {}
+        class_of: list[int] = []
+        reps: list[int] = []
         for row, below in enumerate(covers):
+            mask = self._masks[row]
             bits = 1 << row
+            key = []
             for c in below:
                 bits |= self._down[c]
+                key.append((_positions(self._masks[c], mask), class_of[c]))
+            cls = classes.setdefault((mask.bit_count(), frozenset(key)), len(reps))
+            if cls == len(reps):
+                reps.append(row)
+            class_of.append(cls)
             self._down.append(bits)
+        # The first row of each class, ascending.
+        self._class_reps = tuple(reps)
         # The up-set of vertex v: the rows of the faces holding v.
         self._vertex_rows = [0] * (self.n + 1)
         for row, face in enumerate(self.faces):
@@ -247,24 +282,41 @@ def build_face_lattice(facets: Sequence[VertexSet], d: int) -> FaceLattice:
     )
 
 
-def euler_check(lattice: FaceLattice) -> bool:
-    """Eulerian test: the Moebius function must alternate by rank.
+def euler_witness(lattice: FaceLattice) -> tuple[VertexSet, VertexSet] | None:
+    """The first interval [x, y] with unequal even and odd face counts, as
+    a pair of faces, or None when the lattice is Eulerian.
 
-    Equivalently, every interval [x, y] with x < y holds as many faces of
-    even dimension as of odd; this is tested for every comparable pair,
-    not only for the intervals of length two (Stanley, EC1 3.16).  Only
+    Rows are scanned by x, then by class representative y above x.  Only
     the up-set of the current x is held, so no per-face up-sets are stored.
     """
     even = 0
     for row, fd in enumerate(lattice.dims):
         if fd % 2 == 0:
             even |= 1 << row
-    down = lattice._down
-    for x, mask in enumerate(lattice._masks):
+    masks, down = lattice._masks, lattice._down
+    reps = [(y, masks[y]) for y in lattice._class_reps]
+    for x, mask in enumerate(masks):
         above = lattice._above(mask)
         above_even = above & even
-        for y in set_bits(above ^ (1 << x)):
+        for y, y_mask in reps:
+            if y == x or mask & ~y_mask:
+                continue
             if 2 * (above_even & down[y]).bit_count() != (above & down[y]).bit_count():
-                return False
-    return True
+                return lattice.faces[x], lattice.faces[y]
+    return None
 
+
+def euler_check(lattice: FaceLattice) -> bool:
+    """Eulerian test: the Moebius function must alternate by rank.
+
+    Equivalently, every interval [x, y] with x < y holds as many faces of
+    even dimension as of odd; every interval is tested, not only those of
+    length two (Stanley, EC1 3.16).  Each interval is decided by its class
+    representative: [x, y] lies in down(y), whose renumbered copy is that
+    of the representative of y's class, so [x, y] is isomorphic, grading
+    included, to [x', rep(y)] for the renumbered x'.  The class key is
+    exact, not a heuristic, so testing the pairs that end at a
+    representative tests every interval.  ``euler_witness`` names the
+    first interval that fails.
+    """
+    return euler_witness(lattice) is None

@@ -14,7 +14,7 @@ from functools import cached_property
 from itertools import combinations, zip_longest
 
 from .bijection import bijection_records, count_by_size, subset_to_facet
-from .combinat import Params, VertexSet, colex_key
+from .combinat import Params, VertexSet, colex_key, face_of, set_bits
 from .hvector import (
     HVector,
     contribution_total,
@@ -25,7 +25,7 @@ from .hvector import (
     shelling_contributions,
     toric_tables,
 )
-from .lattice import FaceLattice, build_face_lattice, euler_check
+from .lattice import FaceLattice, build_face_lattice, euler_check, euler_witness
 from .multiplex import (
     multiplex_boundary_triangulation,
     multiplex_facet,
@@ -39,6 +39,7 @@ from .ordinary import (
     lsh,
 )
 from .shelling import (
+    _walls,
     boolean_interval_check,
     colex_shelling,
     minimal_new_face_recursive,
@@ -163,7 +164,15 @@ def _check_lattice_build(b: InstanceBundle) -> str:
 
 
 def _check_eulerian(b: InstanceBundle) -> str:
-    return "" if euler_check(b.lattice) else "Moebius condition fails"
+    if euler_check(b.lattice):
+        return ""
+    bottom, top = euler_witness(b.lattice)
+    dims = [b.lattice.dims[r] for r in b.lattice.interval_rows(bottom, top)]
+    even = sum(1 for e in dims if e % 2 == 0)
+    return (
+        f"Moebius condition fails: [{bottom}, {top}] holds {even} faces "
+        f"of even dimension and {len(dims) - even} of odd"
+    )
 
 
 def _check_facet_g(b: InstanceBundle) -> str:
@@ -174,6 +183,23 @@ def _check_facet_g(b: InstanceBundle) -> str:
         want = multiplex_g(b.p.d - 1, len(f))
         if got != want:
             return f"facet {f}: g is {got}, multiplex form says {want}"
+    # The topological shelling search takes every face's walls from the
+    # multiplex formula; certify that premise on the faces of dimension
+    # 2..d-1.  A class shares its renumbered down-set, hence its walls,
+    # so its representative decides it.
+    for y in lattice._class_reps:
+        e = lattice.dims[y]
+        if not 2 <= e <= b.p.d - 1:
+            continue
+        face = lattice.faces[y]
+        rows = set_bits(lattice._down[y])
+        covers = {lattice._masks[r] for r in rows if lattice.dims[r] == e - 1}
+        walls = set(_walls(face, e))
+        if covers != walls:
+            wall = min(covers ^ walls)
+            if wall in covers:
+                return f"face {face}: wall {face_of(wall)} is not a wall of the {e}-multiplex"
+            return f"face {face}: the {e}-multiplex wall {face_of(wall)} is not a wall of the face"
     return ""
 
 

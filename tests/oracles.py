@@ -148,6 +148,27 @@ def shelling_walls_by_scans(cell: int, walls, earlier) -> list[int] | None:
     return covered
 
 
+def euler_by_pairs(lattice) -> bool:
+    """Eulerian test over every comparable pair, two popcounts each.
+
+    Every interval [x, y] with x < y must hold as many faces of even
+    dimension as of odd (Stanley, EC1 3.16).  Only the up-set of the
+    current x is held, so no per-face up-sets are stored.
+    """
+    even = 0
+    for row, fd in enumerate(lattice.dims):
+        if fd % 2 == 0:
+            even |= 1 << row
+    down = lattice._down
+    for x, mask in enumerate(lattice._masks):
+        above = lattice._above(mask)
+        above_even = above & even
+        for y in set_bits(above ^ (1 << x)):
+            if 2 * (above_even & down[y]).bit_count() != (above & down[y]).bit_count():
+                return False
+    return True
+
+
 def toric_by_rows(lattice) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
     """The toric h and g of every face, summing g row by row.
 

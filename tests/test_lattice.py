@@ -3,12 +3,45 @@
 from itertools import combinations
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from oracles import NOT_EULERIAN, carrier_by_facets
-from ordpoly.combinat import Params, colex_key, mask_of
+from oracles import NOT_EULERIAN, carrier_by_facets, euler_by_pairs
+from ordpoly.combinat import Params, colex_key, mask_of, set_bits
 from ordpoly.hvector import toric_tables
-from ordpoly.lattice import build_face_lattice, euler_check
+from ordpoly.lattice import _closure_masks, build_face_lattice, euler_check, euler_witness
 from ordpoly.ordinary import enumerate_facets
+from ordpoly.verify import grid_instances
+
+# Facet lists of small polytopes on at most 8 vertices, the cube last.
+SMALL_POLYTOPES = [
+    enumerate_facets(Params(*dkn))
+    for dkn in [(2, 2, 3), (2, 2, 7), (3, 3, 4), (3, 3, 5), (3, 3, 7),
+                (4, 4, 5), (4, 4, 7), (5, 5, 7), (5, 6, 6), (5, 6, 7)]
+] + [[(0, 1, 2, 3), (4, 5, 6, 7), (0, 1, 4, 5), (2, 3, 6, 7), (0, 2, 4, 6), (1, 3, 5, 7)]]
+
+
+@st.composite
+def facet_lists(draw):
+    """A small polytope's facets relabelled onto 0..7, with up to three
+    dropped and perhaps one arbitrary facet added."""
+    facets = draw(st.sampled_from(SMALL_POLYTOPES))
+    perm = draw(st.permutations(range(8)))
+    dropped = draw(st.sets(st.integers(0, len(facets) - 1), max_size=3))
+    out = {tuple(sorted(perm[v] for v in f)) for i, f in enumerate(facets) if i not in dropped}
+    extra = draw(st.none() | st.sets(st.integers(0, 7), min_size=2, max_size=5))
+    if extra:
+        out.add(tuple(sorted(extra)))
+    return sorted(out)
+
+
+def renumbered_downset(lattice, row):
+    """The faces below ``row``, each as the positions of its vertices in
+    the face of ``row``."""
+    face = lattice.faces[row]
+    return frozenset(
+        tuple(face.index(v) for v in lattice.faces[r]) for r in set_bits(lattice._down[row])
+    )
 
 
 class TestSimplex:
@@ -128,6 +161,91 @@ class TestNotEulerian:
         h_list, _ = toric_tables(lattice)
         assert all(h[0] == 1 for h in h_list)
         assert not euler_check(lattice)
+
+
+class TestEulerByClasses:
+    """``euler_check`` tests the intervals ending at class representatives;
+    ``oracles.euler_by_pairs`` tests every comparable pair."""
+
+    def test_agrees_with_pairs_on_the_grid(self, bundles):
+        for p in grid_instances():
+            lattice = bundles(p.d, p.k, p.n).lattice
+            assert euler_check(lattice) is euler_by_pairs(lattice) is True, p
+
+    def test_agrees_with_pairs_on_a_ladder_rung(self, bundles):
+        lattice = bundles(7, 9, 20).lattice
+        assert euler_check(lattice) is euler_by_pairs(lattice) is True
+
+    @pytest.mark.parametrize("name", NOT_EULERIAN)
+    def test_agrees_with_pairs_off_eulerian(self, name):
+        lattice = build_face_lattice(*NOT_EULERIAN[name])
+        assert euler_check(lattice) is euler_by_pairs(lattice) is False
+
+    @settings(max_examples=200, deadline=None)
+    @given(facet_lists())
+    def test_agrees_with_pairs_on_random_facet_lists(self, facets):
+        # d is the depth of the empty face below the top, less one
+        top = mask_of(set().union(*facets))
+        try:
+            _, depth = _closure_masks(sorted(map(mask_of, facets)), top, 256)
+            lattice = build_face_lattice(facets, depth[0] - 1)
+        except ValueError:
+            assume(False)
+        assert euler_check(lattice) is euler_by_pairs(lattice)
+
+    @pytest.mark.parametrize("name", NOT_EULERIAN)
+    def test_witness_breaks_the_condition(self, name):
+        lattice = build_face_lattice(*NOT_EULERIAN[name])
+        bottom, top = euler_witness(lattice)
+        assert set(bottom) < set(top)
+        inside = [f for f in lattice.faces if set(bottom) <= set(f) <= set(top)]
+        even = sum(1 for f in inside if lattice.dim(f) % 2 == 0)
+        assert 2 * even != len(inside)
+
+    def test_no_witness_on_a_polytope(self, b568):
+        assert euler_witness(b568.lattice) is None
+
+
+class TestClassKey:
+    @staticmethod
+    def assert_exact(lattice):
+        # Representatives have pairwise distinct renumbered down-sets, and
+        # every face shares its down-set with a representative at or
+        # below its own row.
+        reps = {renumbered_downset(lattice, y): y for y in lattice._class_reps}
+        assert len(reps) == len(lattice._class_reps)
+        for row in range(len(lattice)):
+            assert reps[renumbered_downset(lattice, row)] <= row
+
+    def test_exact_on_the_grid(self, bundles):
+        for p in grid_instances():
+            self.assert_exact(bundles(p.d, p.k, p.n).lattice)
+
+    def test_exact_on_a_ladder_rung(self, bundles):
+        self.assert_exact(bundles(7, 9, 20).lattice)
+
+    def test_exact_where_the_covers_alone_are_not(self):
+        # a closure that is no polytope: its facets (0, 2, 3, 5, 6) and
+        # (0, 1, 4, 5, 6) have the same renumbered lower covers, but 30 and
+        # 28 faces below, so only the covers' classes tell them apart
+        facets = [(0, 1, 2, 4, 5), (0, 1, 2, 4, 6), (0, 1, 4, 5, 6), (0, 2, 3, 4, 5),
+                  (0, 2, 3, 4, 6), (0, 2, 3, 5, 6), (0, 3, 4, 5, 6), (1, 2, 3, 4, 5),
+                  (1, 2, 3, 4, 6), (1, 2, 3, 5, 6), (1, 3, 4, 5, 6)]
+        lattice = build_face_lattice(facets, 5)
+        rows = [lattice.index(f) for f in [(0, 2, 3, 5, 6), (0, 1, 4, 5, 6)]]
+        assert [lattice._down[r].bit_count() for r in rows] == [30, 28]
+        self.assert_exact(lattice)
+
+    @pytest.mark.parametrize("dkn", [(7, 9, 20), (7, 10, 30)])
+    def test_class_count(self, bundles, dkn):
+        assert len(bundles(*dkn).lattice._class_reps) == 24
+
+    def test_simplex_faces_share_a_class_per_size(self):
+        # every subset of the 5-simplex is a face, and all subsets of one
+        # size have the Boolean down-set
+        facets = [tuple(sorted(set(range(6)) - {v})) for v in range(6)]
+        lattice = build_face_lattice(facets, 5)
+        assert [len(lattice.faces[y]) for y in lattice._class_reps] == list(range(7))
 
 
 class TestIntervalAndDownset:

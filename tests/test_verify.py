@@ -2,9 +2,19 @@
 
 from types import SimpleNamespace
 
+from oracles import NOT_EULERIAN
 from ordpoly import bijection, lattice, triangulation, verify
 from ordpoly.combinat import Params
+from ordpoly.hvector import toric_tables
 from ordpoly.verify import CHECK_NAMES, grid_instances, verify_instance
+
+
+def cube_bundle(facets):
+    """The checks' view of a cube with the given square facets."""
+    cube = lattice.build_face_lattice(facets, 3)
+    return SimpleNamespace(
+        p=SimpleNamespace(d=3), facets=facets, lattice=cube, toric=toric_tables(cube)
+    )
 
 
 class TestGrid:
@@ -124,3 +134,28 @@ class TestVerifyInstance:
         assert all(r.ok for r in results)
         assert not any(r.detail for r in results if r.name.startswith("bijection"))
         assert len(calls) <= 2
+
+
+class TestWitnesses:
+    def test_eulerian_failure_names_the_interval(self):
+        bad = SimpleNamespace(lattice=lattice.build_face_lattice(*NOT_EULERIAN["k4_edges"]))
+        assert verify._check_eulerian(bad) == (
+            "Moebius condition fails: [(), (0, 1, 2, 3)] holds 5 faces "
+            "of even dimension and 7 of odd"
+        )
+
+    def test_facet_g_passes_a_cube_in_multiplex_order(self):
+        # binary labels: every square is 0-1-3-2 in its vertex order, whose
+        # edges 01, 02, 13 and 23 are those of the 2-multiplex
+        squares = [(0, 1, 2, 3), (4, 5, 6, 7), (0, 1, 4, 5), (2, 3, 6, 7),
+                   (0, 2, 4, 6), (1, 3, 5, 7)]
+        assert verify._check_facet_g(cube_bundle(squares)) == ""
+
+    def test_facet_g_refuses_a_square_in_cyclic_order(self):
+        # the square 0-1-2-3 has the edges 01, 12, 23 and 03; its g is the
+        # multiplex g, so only the walls tell the two apart
+        squares = [(0, 1, 2, 3), (4, 5, 6, 7), (0, 1, 4, 5), (1, 2, 5, 6),
+                   (2, 3, 6, 7), (0, 3, 4, 7)]
+        assert verify._check_facet_g(cube_bundle(squares)) == (
+            "face (0, 1, 2, 3): the 2-multiplex wall (0, 2) is not a wall of the face"
+        )
