@@ -4,9 +4,8 @@ The four routes: the toric g/h recursion over the whole face lattice, a
 closed binomial form, the modified-f-vector expansion, and the h-vector
 of the shallow boundary triangulation (module ``triangulation``).  Their
 exact agreement on every instance is the library's core claim.  The
-recursion sums g once per class of faces with the same dimension and the
-same g: one popcount of a down-set per class, not one step per face
-below.
+recursion runs once per class of lower intervals and sums g once per
+class of faces with the same dimension and g: one popcount per class.
 
 Also here: the fake-simplicial h' (from the shelling's new-face sizes or
 from the f-vector), and the per-step contributions a_j that measure
@@ -60,12 +59,15 @@ def toric_tables(lattice: FaceLattice) -> tuple[list[HVector], list[tuple[int, .
 
     Faces are processed bottom-up; the g of a face only depends on faces
     strictly below it, so one pass suffices: h of an e-face is the sum of
-    g_t(x) (x-1)^{e-1-t} over the t-faces strictly below it.  Faces of
-    the same dimension t and the same g give the same term, so finished
-    rows are kept as one bitset per (t, g) class, and the sum over a
-    down-set is one popcount per class times that class's g.  Row 0 is
-    the empty face, whose g is 1 by convention; row -1 is the top, whose
-    h is the h-vector of the polytope.
+    g_t(x) (x-1)^{e-1-t} over the t-faces strictly below it.  That sum
+    depends only on the isomorphism class of [empty, face], which the
+    lattice's exact class key fixes, so it runs at the first row of each
+    class and the other rows copy it.  Faces of the same dimension t and
+    the same g give the same term, so finished rows are kept as one
+    bitset per (t, g) class, and the sum over a down-set is one popcount
+    per class times that class's g.  Row 0 is the empty face, whose g is
+    1 by convention; row -1 is the top, whose h is the h-vector of the
+    polytope.
 
     The recursion assumes an Eulerian lattice, which ``euler_check``
     judges; it does not test it.  h_0 is 1 on every lattice: the empty
@@ -73,7 +75,6 @@ def toric_tables(lattice: FaceLattice) -> tuple[list[HVector], list[tuple[int, .
     t >= 0 has g_i only for i <= t/2, so its term has degree below e.
     """
     dims = lattice.dims
-    down = lattice._down
     count = len(dims)
     h_list: list[HVector] = [()] * count
     g_list: list[tuple[int, ...]] = [(1,)] * count
@@ -81,10 +82,13 @@ def toric_tables(lattice: FaceLattice) -> tuple[list[HVector], list[tuple[int, .
 
     for row in range(count):
         e = dims[row]
-        if e == -1:
+        rep = lattice._class_reps[lattice._class_of[row]]
+        if rep < row:
+            h_list[row], g_list[row] = h_list[rep], g_list[rep]
+        elif e == -1:
             h_list[row] = (1,)
         else:
-            below = down[row]  # the class bitsets hold finished rows only
+            below = lattice._below(row)  # the class bitsets hold finished rows only
             terms = []
             for (t, g_t), bits in classes.items():
                 if t < e:  # no face of dimension e lies below this one

@@ -8,14 +8,14 @@ are the maximal meets H & F over the facets F that do not contain H
 (Kaibel and Pfetsch, "Computing the face lattice of a polytope from its
 vertex-facet incidences", Comput. Geom. 23, 2002).  Faces are stored as
 ``combinat.mask_of`` integers, so vertex labels are unbounded.  The one
-stored order relation is the down-set of each face, an integer bitset
-over rows OR-ed along the covers.  Faces are ordered by containment, so
-the faces above a face are the faces above each of its vertices: up-sets
-are ANDs of the n+1 per-vertex up-sets and are never stored per face.
-The lattice also stores one representative row per class of lower
-intervals: faces whose down-sets agree once each face's vertices are
-renumbered 0, 1, ... in increasing order.  Every interval [x, y] is
-isomorphic to an interval ending at the representative of y's class.
+stored incidence is the up-set of each of the n+1 vertices, a bitset
+over rows.  Faces are ordered by containment, so both directions of the
+order are read off it and never stored per face: the faces above a face
+lie above each of its vertices, the faces below it hold no vertex outside
+it.  Each face also keeps its class of lower intervals, and each class
+its first row: faces share a class when their down-sets agree once each
+face's vertices are renumbered 0, 1, ... in increasing order.  Every
+interval [x, y] is isomorphic to one ending at the first row of y's class.
 
 The closure size is capped by the ORDPOLY_MAX_FACES environment variable
 (a positive integer, default 200000) so a typo in the parameters cannot
@@ -72,7 +72,8 @@ class FaceLattice:
     """
 
     __slots__ = (
-        "faces", "dims", "d", "n", "_masks", "_index", "_down", "_vertex_rows", "_class_reps"
+        "faces", "dims", "d", "n", "_masks", "_index", "_all", "_vertex_rows",
+        "_class_of", "_class_reps",
     )
 
     def __init__(
@@ -89,29 +90,24 @@ class FaceLattice:
         self.n = self._masks[-1].bit_length() - 1
         self._index = {f: i for i, f in enumerate(self.faces)}
         # Covers point to lower rows, so one ascending pass fills the
-        # down-sets and the classes.  A face's class key is its size and,
-        # per lower cover, the cover renumbered into the face's vertex
-        # positions with the cover's class.  The covers are the maximal
-        # faces below, so equal keys rebuild equal renumbered down-sets,
-        # and equal down-sets give equal keys: the key is exact.
-        self._down: list[int] = []
+        # classes.  A face's class key is its size and, per lower cover,
+        # the cover renumbered into the face's vertex positions with the
+        # cover's class.  The covers are the maximal faces below, so equal
+        # keys rebuild equal renumbered down-sets, and equal down-sets give
+        # equal keys: the key is exact.
         classes: dict[tuple[int, frozenset[tuple[int, int]]], int] = {}
         class_of: list[int] = []
         reps: list[int] = []
-        for row, below in enumerate(covers):
-            mask = self._masks[row]
-            bits = 1 << row
-            key = []
-            for c in below:
-                bits |= self._down[c]
-                key.append((_positions(self._masks[c], mask), class_of[c]))
-            cls = classes.setdefault((mask.bit_count(), frozenset(key)), len(reps))
+        for row, (mask, below) in enumerate(zip(self._masks, covers)):
+            key = frozenset((_positions(self._masks[c], mask), class_of[c]) for c in below)
+            cls = classes.setdefault((mask.bit_count(), key), len(reps))
             if cls == len(reps):
                 reps.append(row)
             class_of.append(cls)
-            self._down.append(bits)
+        self._class_of = tuple(class_of)
         # The first row of each class, ascending.
         self._class_reps = tuple(reps)
+        self._all = (1 << len(self._masks)) - 1
         # The up-set of vertex v: the rows of the faces holding v.
         self._vertex_rows = [0] * (self.n + 1)
         for row, face in enumerate(self.faces):
@@ -141,20 +137,28 @@ class FaceLattice:
     def _above(self, mask: int) -> int:
         """Bitset of the rows of all faces containing the vertex bitmask ``mask``.
 
-        Starts from the top's down-set (every row), never from -1: a
-        negative bitset would make ``set_bits`` loop forever.
+        Starts from every row, never from -1: a negative bitset would make
+        ``set_bits`` loop forever.
         """
         if mask & ~self._masks[-1]:
             raise ValueError(f"{face_of(mask)} uses labels outside the vertex set")
-        bits = self._down[-1]
+        bits = self._all
         for v in set_bits(mask):
             bits &= self._vertex_rows[v]
         return bits
 
+    def _below(self, row: int) -> int:
+        """Bitset of the rows of all faces inside face ``row``: every row
+        but those of the faces holding a vertex outside it."""
+        outside = 0
+        for v in set_bits(self._masks[-1] & ~self._masks[row]):
+            outside |= self._vertex_rows[v]
+        return self._all & ~outside
+
     def interval_rows(self, bottom: VertexSet, top: VertexSet) -> list[int]:
         """Rows of all faces weakly between ``bottom`` and ``top``, ascending."""
         above = self._above(self._masks[self.index(bottom)])
-        return set_bits(above & self._down[self.index(top)])
+        return set_bits(above & self._below(self.index(top)))
 
     # -- derived vectors -------------------------------------------------
 
@@ -287,21 +291,21 @@ def euler_witness(lattice: FaceLattice) -> tuple[VertexSet, VertexSet] | None:
     a pair of faces, or None when the lattice is Eulerian.
 
     Rows are scanned by x, then by class representative y above x.  Only
-    the up-set of the current x is held, so no per-face up-sets are stored.
+    the up-set of x and the down-sets of the representatives are held.
     """
     even = 0
     for row, fd in enumerate(lattice.dims):
         if fd % 2 == 0:
             even |= 1 << row
-    masks, down = lattice._masks, lattice._down
-    reps = [(y, masks[y]) for y in lattice._class_reps]
+    masks = lattice._masks
+    reps = [(y, masks[y], lattice._below(y)) for y in lattice._class_reps]
     for x, mask in enumerate(masks):
         above = lattice._above(mask)
         above_even = above & even
-        for y, y_mask in reps:
+        for y, y_mask, below in reps:
             if y == x or mask & ~y_mask:
                 continue
-            if 2 * (above_even & down[y]).bit_count() != (above & down[y]).bit_count():
+            if 2 * (above_even & below).bit_count() != (above & below).bit_count():
                 return lattice.faces[x], lattice.faces[y]
     return None
 

@@ -198,19 +198,20 @@ def boolean_interval_check(lattice: FaceLattice, bottom: VertexSet, top: VertexS
 
     Checks the element count 2^c, the atom count c, and that no two
     elements lie above the same set of atoms, so each subset of atoms is
-    the atom set of exactly one element.  An atom lies below a meet iff it
-    lies below both sides, and face-lattice intervals are closed under
-    intersection, so that bijection is an order isomorphism.
+    the atom set of exactly one element; faces are ordered by containment,
+    so those are the atoms whose vertices it holds.  An atom lies below a
+    meet iff it lies below both sides, and face-lattice intervals are
+    closed under intersection, so that bijection is an order isomorphism.
     """
     rows = lattice.interval_rows(bottom, top)
     c = lattice.dim(top) - lattice.dim(bottom)
     if len(rows) != 2**c:
         return False
     bottom_dim = lattice.dim(bottom)
-    atoms = sum(1 << r for r in rows if lattice.dims[r] == bottom_dim + 1)
-    if atoms.bit_count() != c:
+    atoms = [lattice._masks[r] for r in rows if lattice.dims[r] == bottom_dim + 1]
+    if len(atoms) != c:
         return False
-    return len({lattice._down[r] & atoms for r in rows}) == 2**c
+    return len({frozenset(a for a in atoms if a & ~lattice._masks[r] == 0) for r in rows}) == 2**c
 
 
 # -- topological shelling (Definition-level certification) ----------------

@@ -192,7 +192,7 @@ def _check_facet_g(b: InstanceBundle) -> str:
         if not 2 <= e <= b.p.d - 1:
             continue
         face = lattice.faces[y]
-        rows = set_bits(lattice._down[y])
+        rows = set_bits(lattice._below(y))
         covers = {lattice._masks[r] for r in rows if lattice.dims[r] == e - 1}
         walls = set(_walls(face, e))
         if covers != walls:

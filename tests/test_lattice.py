@@ -1,15 +1,28 @@
 """Face lattice construction: closure, grading, Euler relation, carriers."""
 
+import sys
 from itertools import combinations
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import NOT_EULERIAN, carrier_by_facets, euler_by_pairs
-from ordpoly.combinat import Params, colex_key, mask_of, set_bits
+from oracles import (
+    NOT_EULERIAN,
+    SAME_RENUMBERED_COVERS,
+    carrier_by_facets,
+    euler_by_pairs,
+    order_by_containment,
+)
+from ordpoly.combinat import Params, colex_key, face_of, mask_of, set_bits
 from ordpoly.hvector import toric_tables
-from ordpoly.lattice import _closure_masks, build_face_lattice, euler_check, euler_witness
+from ordpoly.lattice import (
+    FaceLattice,
+    _closure_masks,
+    build_face_lattice,
+    euler_check,
+    euler_witness,
+)
 from ordpoly.ordinary import enumerate_facets
 from ordpoly.verify import grid_instances
 
@@ -35,12 +48,24 @@ def facet_lists(draw):
     return sorted(out)
 
 
-def renumbered_downset(lattice, row):
+def closure_lattice(facets):
+    """The lattice of a drawn facet list, with d read off the closure as
+    the depth of the empty face below the top, less one; draws whose
+    closure is refused are discarded."""
+    top = mask_of(set().union(*facets))
+    try:
+        _, depth = _closure_masks(sorted(map(mask_of, facets)), top, 256)
+        return build_face_lattice(facets, depth[0] - 1)
+    except ValueError:
+        assume(False)
+
+
+def renumbered_lower_set(lattice, row):
     """The faces below ``row``, each as the positions of its vertices in
     the face of ``row``."""
     face = lattice.faces[row]
     return frozenset(
-        tuple(face.index(v) for v in lattice.faces[r]) for r in set_bits(lattice._down[row])
+        tuple(face.index(v) for v in lattice.faces[r]) for r in set_bits(lattice._below(row))
     )
 
 
@@ -184,13 +209,7 @@ class TestEulerByClasses:
     @settings(max_examples=200, deadline=None)
     @given(facet_lists())
     def test_agrees_with_pairs_on_random_facet_lists(self, facets):
-        # d is the depth of the empty face below the top, less one
-        top = mask_of(set().union(*facets))
-        try:
-            _, depth = _closure_masks(sorted(map(mask_of, facets)), top, 256)
-            lattice = build_face_lattice(facets, depth[0] - 1)
-        except ValueError:
-            assume(False)
+        lattice = closure_lattice(facets)
         assert euler_check(lattice) is euler_by_pairs(lattice)
 
     @pytest.mark.parametrize("name", NOT_EULERIAN)
@@ -212,10 +231,10 @@ class TestClassKey:
         # Representatives have pairwise distinct renumbered down-sets, and
         # every face shares its down-set with a representative at or
         # below its own row.
-        reps = {renumbered_downset(lattice, y): y for y in lattice._class_reps}
+        reps = {renumbered_lower_set(lattice, y): y for y in lattice._class_reps}
         assert len(reps) == len(lattice._class_reps)
         for row in range(len(lattice)):
-            assert reps[renumbered_downset(lattice, row)] <= row
+            assert reps[renumbered_lower_set(lattice, row)] <= row
 
     def test_exact_on_the_grid(self, bundles):
         for p in grid_instances():
@@ -225,15 +244,9 @@ class TestClassKey:
         self.assert_exact(bundles(7, 9, 20).lattice)
 
     def test_exact_where_the_covers_alone_are_not(self):
-        # a closure that is no polytope: its facets (0, 2, 3, 5, 6) and
-        # (0, 1, 4, 5, 6) have the same renumbered lower covers, but 30 and
-        # 28 faces below, so only the covers' classes tell them apart
-        facets = [(0, 1, 2, 4, 5), (0, 1, 2, 4, 6), (0, 1, 4, 5, 6), (0, 2, 3, 4, 5),
-                  (0, 2, 3, 4, 6), (0, 2, 3, 5, 6), (0, 3, 4, 5, 6), (1, 2, 3, 4, 5),
-                  (1, 2, 3, 4, 6), (1, 2, 3, 5, 6), (1, 3, 4, 5, 6)]
-        lattice = build_face_lattice(facets, 5)
+        lattice = build_face_lattice(*SAME_RENUMBERED_COVERS)
         rows = [lattice.index(f) for f in [(0, 2, 3, 5, 6), (0, 1, 4, 5, 6)]]
-        assert [lattice._down[r].bit_count() for r in rows] == [30, 28]
+        assert [lattice._below(r).bit_count() for r in rows] == [30, 28]
         self.assert_exact(lattice)
 
     @pytest.mark.parametrize("dkn", [(7, 9, 20), (7, 10, 30)])
@@ -246,6 +259,58 @@ class TestClassKey:
         facets = [tuple(sorted(set(range(6)) - {v})) for v in range(6)]
         lattice = build_face_lattice(facets, 5)
         assert [len(lattice.faces[y]) for y in lattice._class_reps] == list(range(7))
+
+
+class TestDerivedOrder:
+    """``_below`` and ``_above``, read off the vertex up-sets, against
+    containment tested face by face."""
+
+    @staticmethod
+    def assert_containment(lattice):
+        below, above = order_by_containment(lattice)
+        for row, mask in enumerate(lattice._masks):
+            assert lattice._below(row) == below[row], lattice.faces[row]
+            assert lattice._above(mask) == above[row], lattice.faces[row]
+        # vertex pairs that span no face too, as carriers ask
+        for pair in map(mask_of, combinations(lattice.top(), 2)):
+            rows = [r for r, m in enumerate(lattice._masks) if pair & ~m == 0]
+            assert set_bits(lattice._above(pair)) == rows, face_of(pair)
+
+    @pytest.mark.parametrize("p", grid_instances(), ids=str)
+    def test_grid(self, p, bundles):
+        self.assert_containment(bundles(p.d, p.k, p.n).lattice)
+
+    @pytest.mark.parametrize("name", NOT_EULERIAN)
+    def test_off_eulerian(self, name):
+        self.assert_containment(build_face_lattice(*NOT_EULERIAN[name]))
+
+    def test_where_the_covers_alone_are_not_exact(self):
+        self.assert_containment(build_face_lattice(*SAME_RENUMBERED_COVERS))
+
+    @settings(max_examples=100, deadline=None)
+    @given(facet_lists())
+    def test_random_facet_lists(self, facets):
+        self.assert_containment(closure_lattice(facets))
+
+
+def stored_int_bytes(lattice) -> int:
+    """``sys.getsizeof`` summed over the ints the lattice holds in its
+    slots, directly or as items of a list or tuple."""
+    total = 0
+    for name in FaceLattice.__slots__:
+        value = getattr(lattice, name)
+        items = value if isinstance(value, (list, tuple)) else [value]
+        total += sum(sys.getsizeof(v) for v in items if isinstance(v, int))
+    return total
+
+
+class TestMemory:
+    @pytest.mark.parametrize("dkn", [(7, 10, 30), (9, 11, 20)])
+    def test_stored_ints_are_linear_in_the_faces(self, bundles, dkn):
+        # no bitset per face: n+1 vertex up-sets of F bits each, and a few
+        # small ints per face
+        lattice = bundles(*dkn).lattice
+        assert stored_int_bytes(lattice) <= 128 * len(lattice)
 
 
 class TestIntervalAndDownset:

@@ -121,7 +121,7 @@ class TestBooleanIntervals:
         verdicts = []
         for lattice in lattices:
             for y, top in enumerate(lattice.faces):
-                for x in set_bits(lattice._down[y]):
+                for x in set_bits(lattice._below(y)):
                     bottom = lattice.faces[x]
                     got = boolean_interval_check(lattice, bottom, top)
                     assert got == boolean_by_joins(lattice, bottom, top), (bottom, top)
