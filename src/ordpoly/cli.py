@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict
 
@@ -309,7 +310,13 @@ def main(argv=None) -> int:
         return 3
 
     stream = sys.stderr if code == 2 else sys.stdout
-    print(out, file=stream)
+    try:
+        print(out, file=stream)
+        stream.flush()
+    except BrokenPipeError:
+        # The reader stopped early (``| head``): drop the rest, and point
+        # the stream at devnull so the flush at exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
     return code
 
 

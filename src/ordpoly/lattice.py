@@ -210,35 +210,39 @@ def _closure_masks(
 
     A face below H is inside some facet that misses H, hence inside a
     meet H & F; so the maximal meets are the lower covers, and walking
-    them down from the top, one level at a time, reaches every face.  A
-    face is first reached from its shallowest cover, and the closure is
-    graded iff every lower cover lies exactly one level below its face.
-    The top is not counted against the cap.
+    them down from the top reaches every face.  The walk is depth-first
+    and expands each face once, from the meets of the face that first
+    reached it: if H lies in P, then H & F = H & (P & F), so H's meets
+    are H & m over P's meets m.  A face's depth is fixed at its first
+    reach; it is a rank function, and then the rank, iff every lower
+    cover lies exactly one level below its face, which is checked on
+    every cover, so the walk refuses exactly the ungraded closures.  The
+    top is not counted against the cap.
     """
     covers: dict[int, list[int]] = {}
     depth = {top_mask: 0}
-    frontier = [top_mask]
-    while frontier:
-        next_frontier = []
-        for face in frontier:
-            meets = {m for f in facet_masks if (m := face & f) != face}
-            if not meets and face:  # inside every facet: covers only the empty face
-                meets = {0}
-            below = _maximal(meets)
-            covers[face] = below
-            level = depth[face] + 1
-            for meet in below:
-                if meet not in depth:
-                    depth[meet] = level
-                    next_frontier.append(meet)
-                    if len(depth) > cap + 1:
-                        raise FaceCapError(
-                            f"face closure exceeds the cap of {cap} faces; "
-                            "raise ORDPOLY_MAX_FACES to allow more"
-                        )
-                elif depth[meet] != level:
-                    raise ValueError("face closure is not graded")
-        frontier = next_frontier
+    # Each entry holds a face and its parent's meets; siblings share them,
+    # so at most one set of meets per level of the current path is alive.
+    stack = [(top_mask, facet_masks)]
+    while stack:
+        face, parent_meets = stack.pop()
+        meets = {m for pm in parent_meets if (m := face & pm) != face}
+        if not meets and face:  # inside every facet: covers only the empty face
+            meets = {0}
+        below = _maximal(meets)
+        covers[face] = below
+        level = depth[face] + 1
+        for meet in below:
+            if meet not in depth:
+                depth[meet] = level
+                stack.append((meet, meets))
+                if len(depth) > cap + 1:
+                    raise FaceCapError(
+                        f"face closure exceeds the cap of {cap} faces; "
+                        "raise ORDPOLY_MAX_FACES to allow more"
+                    )
+            elif depth[meet] != level:
+                raise ValueError("face closure is not graded")
     return covers, depth
 
 

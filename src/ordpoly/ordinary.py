@@ -4,13 +4,16 @@ Two independent constructions of the facet list are provided: direct
 enumeration of the generator family (windows [i,i+2r-1] u Y u
 [i+k,i+k+2r-1] retracted into [0,n]) and a recursion on n that shifts the
 high facets of P^{d,k,n-1} to the right.  Their agreement is a standing
-cross-check.
+cross-check.  The recursion reads the enumeration's generators once, at
+the cyclic base n = k, where it checks them against the Gale brute force;
+from there it carries each facet's generators up one level at a time.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
+from typing import Iterator
 
 from .combinat import (
     Interval,
@@ -108,10 +111,22 @@ def rsh(face: VertexSet, p: Params) -> VertexSet:
     gens = _facet_generator_map(source).get(face)
     if gens is None:
         raise ValueError(f"{face} is not a facet of {source}")
-    images = {retract([x + 1 for x in gen], n) for gen in gens}
+    return _shift_generators(face, gens, n)[0]
+
+
+def _shift_generators(
+    face: VertexSet, gens: list[RawGenerator], n: int
+) -> tuple[VertexSet, list[RawGenerator]]:
+    """The right shift of ``face`` onto [0, n] and its shifted generators.
+
+    Every generator moves up by one (x -> x+1); their retractions into
+    [0, n] must all be one facet.
+    """
+    shifted = [tuple(x + 1 for x in gen) for gen in gens]
+    images = {retract(gen, n) for gen in shifted}
     if len(images) != 1:
         raise AssertionError(f"ambiguous right shift of {face}: {sorted(images)}")
-    return images.pop()
+    return images.pop(), shifted
 
 
 def _gale_facets(p: Params) -> list[VertexSet]:
@@ -122,19 +137,59 @@ def _gale_facets(p: Params) -> list[VertexSet]:
     )
 
 
+def _carried_generators(p: Params) -> Iterator[dict[VertexSet, list[RawGenerator]]]:
+    """Every facet of P^{d,k,nn} with its raw generators, for nn = k, ..., n.
+
+    The base n = k takes its generators from the one map of the cyclic
+    polytope, whose facets must be the Gale brute force's.  Each later
+    level is carried from the one below: facets with max <= nn-2 keep
+    their generators, and those with max >= nn-2 shift theirs by one.
+    For k > d only: multiplex instances of even d have no generators, so
+    ``facets_by_recursion`` shifts those by window index.
+    """
+    base = Params(p.d, p.k, p.k)
+    carried = _facet_generator_map(base)
+    gale = _gale_facets(base)
+    if set(carried) != set(gale):
+        witness = colex_sorted(set(carried) ^ set(gale))[0]
+        raise AssertionError(
+            f"generator map of {base} disagrees with the Gale facets at {witness}"
+        )
+    yield carried
+    for nn in range(p.k + 1, p.n + 1):
+        kept = {f: gens for f, gens in carried.items() if f[-1] <= nn - 2}
+        moved = [
+            _shift_generators(f, gens, nn)
+            for f, gens in carried.items()
+            if f[-1] >= nn - 2
+        ]
+        shifted = dict(moved)
+        if len(shifted) < len(moved) or kept.keys() & shifted.keys():
+            raise AssertionError(f"facet recursion overlap at n={nn}")
+        carried = kept | shifted
+        yield carried
+
+
 def facets_by_recursion(p: Params) -> list[VertexSet]:
     """Facet list built by recursion on n from the cyclic base n = k.
 
     Facets of the smaller polytope with max <= n-2 persist; those with
     max >= n-2 are right-shifted.  The two groups stay disjoint because
-    shifting raises the maximum to at least n-1.
+    shifting raises the maximum to at least n-1.  For k > d the right
+    shift acts on generators carried up from the base (see
+    ``_carried_generators``), so one call reads one generator map; the
+    multiplex case k = d shifts by window index.
     """
-    facets = _gale_facets(Params(p.d, p.k, p.k))
-    for nn in range(p.k + 1, p.n + 1):
-        target = Params(p.d, p.k, nn)
-        kept = [f for f in facets if max(f) <= nn - 2]
-        shifted = [rsh(f, target) for f in facets if max(f) >= nn - 2]
-        if set(kept) & set(shifted):
-            raise AssertionError(f"facet recursion overlap at n={nn}")
-        facets = colex_sorted(kept + shifted)
-    return facets
+    if p.is_multiplex:
+        facets = _gale_facets(Params(p.d, p.k, p.k))
+        for nn in range(p.k + 1, p.n + 1):
+            target = Params(p.d, p.k, nn)
+            kept = [f for f in facets if max(f) <= nn - 2]
+            shifted = [rsh(f, target) for f in facets if max(f) >= nn - 2]
+            if set(kept) & set(shifted):
+                raise AssertionError(f"facet recursion overlap at n={nn}")
+            facets = colex_sorted(kept + shifted)
+        return facets
+    for carried in _carried_generators(p):
+        pass
+    return colex_sorted(carried)

@@ -6,8 +6,9 @@ the library's run/shift machinery in the loop, so they can arbitrate.
 
 from itertools import combinations
 
-from ordpoly.combinat import colex_key, set_bits
+from ordpoly.combinat import _maximal, colex_key, set_bits
 from ordpoly.hvector import expand_x_minus_one
+from ordpoly.lattice import FaceCapError
 
 # Graded closures that are not Eulerian, as (facets, d): each breaks the
 # Moebius condition in a different place (see TestNotEulerian).
@@ -228,3 +229,43 @@ def toric_by_rows(lattice) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]
             g.pop()
         h_list[row], g_list[row] = h, tuple(g)
     return h_list, g_list
+
+
+def closure_by_levels(
+    facet_masks: list[int], top_mask: int, cap: int
+) -> tuple[dict[int, list[int]], dict[int, int]]:
+    """Every face of the closure, mapped to the masks of its lower covers
+    and to its depth below the top, walked breadth-first.
+
+    A face below H is inside some facet that misses H, hence inside a
+    meet H & F; so the maximal meets are the lower covers, and walking
+    them down from the top, one level at a time, reaches every face.  A
+    face is first reached from its shallowest cover, and the closure is
+    graded iff every lower cover lies exactly one level below its face.
+    The top is not counted against the cap.
+    """
+    covers: dict[int, list[int]] = {}
+    depth = {top_mask: 0}
+    frontier = [top_mask]
+    while frontier:
+        next_frontier = []
+        for face in frontier:
+            meets = {m for f in facet_masks if (m := face & f) != face}
+            if not meets and face:  # inside every facet: covers only the empty face
+                meets = {0}
+            below = _maximal(meets)
+            covers[face] = below
+            level = depth[face] + 1
+            for meet in below:
+                if meet not in depth:
+                    depth[meet] = level
+                    next_frontier.append(meet)
+                    if len(depth) > cap + 1:
+                        raise FaceCapError(
+                            f"face closure exceeds the cap of {cap} faces; "
+                            "raise ORDPOLY_MAX_FACES to allow more"
+                        )
+                elif depth[meet] != level:
+                    raise ValueError("face closure is not graded")
+        frontier = next_frontier
+    return covers, depth

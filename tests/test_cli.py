@@ -337,6 +337,22 @@ class TestFaceCap:
         )
 
 
+
+def test_closed_pipe_exits_quietly():
+    # The read end is closed before the child writes, as when `| head`
+    # has already exited: no traceback, and the verdict's exit code.
+    src = os.path.dirname(os.path.dirname(ordpoly.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ordpoly.cli", "verify", "5", "6", "8"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert stderr == b""
+
 def test_import_leaves_numpy_unloaded():
     src = os.path.dirname(os.path.dirname(ordpoly.__file__))
     probe = "import ordpoly.cli, sys; sys.exit('numpy' in sys.modules)"

@@ -11,12 +11,14 @@ from oracles import (
     NOT_EULERIAN,
     SAME_RENUMBERED_COVERS,
     carrier_by_facets,
+    closure_by_levels,
     euler_by_pairs,
     order_by_containment,
 )
 from ordpoly.combinat import Params, colex_key, face_of, mask_of, set_bits
 from ordpoly.hvector import toric_tables
 from ordpoly.lattice import (
+    DEFAULT_MAX_FACES,
     FaceLattice,
     _closure_masks,
     build_face_lattice,
@@ -186,6 +188,45 @@ class TestNotEulerian:
         h_list, _ = toric_tables(lattice)
         assert all(h[0] == 1 for h in h_list)
         assert not euler_check(lattice)
+
+
+class TestClosureWalk:
+    """``_closure_masks`` walks depth-first from each face's parent's meets;
+    ``oracles.closure_by_levels`` walks breadth-first over all facets.
+    Both give the same covers and depths, or the same refusal."""
+
+    @staticmethod
+    def assert_same_walk(facets):
+        top = mask_of(set().union(*facets))
+        masks = sorted(map(mask_of, facets))
+        outcomes = []
+        for walk in (_closure_masks, closure_by_levels):
+            try:
+                covers, depth = walk(masks, top, DEFAULT_MAX_FACES)
+            except ValueError as exc:
+                outcomes.append(str(exc))
+            else:
+                outcomes.append(({m: sorted(c) for m, c in covers.items()}, depth))
+        assert outcomes[0] == outcomes[1]
+
+    def test_grid(self, bundles):
+        for p in grid_instances():
+            self.assert_same_walk(bundles(p.d, p.k, p.n).facets)
+
+    def test_ladder_rung(self, bundles):
+        self.assert_same_walk(bundles(7, 9, 20).facets)
+
+    @pytest.mark.parametrize("name", NOT_EULERIAN)
+    def test_off_eulerian(self, name):
+        self.assert_same_walk(NOT_EULERIAN[name][0])
+
+    def test_where_the_covers_alone_are_not_exact(self):
+        self.assert_same_walk(SAME_RENUMBERED_COVERS[0])
+
+    @settings(max_examples=100, deadline=None)
+    @given(facet_lists())
+    def test_random_facet_lists(self, facets):
+        self.assert_same_walk(facets)
 
 
 class TestEulerByClasses:

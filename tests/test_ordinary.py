@@ -5,8 +5,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_cyclic_facets
+from ordpoly import ordinary
 from ordpoly.combinat import Params, colex_key
-from ordpoly.ordinary import enumerate_facets, facets_by_recursion, lsh, rsh
+from ordpoly.ordinary import (
+    _carried_generators,
+    _facet_generator_map,
+    enumerate_facets,
+    facets_by_recursion,
+    lsh,
+    rsh,
+)
+from ordpoly.verify import grid_instances
 
 
 instances = st.sampled_from(
@@ -104,3 +113,45 @@ class TestShifts:
         for f in enumerate_facets(p):
             if f[-1] >= k:
                 assert lsh(f, p) in smaller
+
+
+class TestCarriedRecursion:
+    """For k > d the recursion carries generators up from the cyclic base
+    instead of reading the generator map of every smaller polytope."""
+
+    @pytest.mark.parametrize(
+        "p", [p for p in grid_instances() if not p.is_multiplex] + [Params(5, 6, 40)], ids=str
+    )
+    def test_carried_maps_match_the_enumeration(self, p):
+        levels = list(_carried_generators(p))
+        assert len(levels) == p.n - p.k + 1
+        for nn, carried in zip(range(p.k, p.n + 1), levels):
+            assert carried == _facet_generator_map(Params(p.d, p.k, nn)), nn
+
+    def test_one_generator_map_per_call(self):
+        _facet_generator_map.cache_clear()
+        facets_by_recursion(Params(5, 6, 40))
+        assert _facet_generator_map.cache_info().misses == 1
+
+    def test_base_must_be_the_gale_facets(self, monkeypatch):
+        real = _facet_generator_map(Params(5, 6, 6))
+        dropped = (0, 1, 2, 4, 5)
+        monkeypatch.setattr(
+            ordinary,
+            "_facet_generator_map",
+            lambda p: {f: g for f, g in real.items() if f != dropped},
+        )
+        with pytest.raises(AssertionError, match=r"Gale facets at \(0, 1, 2, 4, 5\)"):
+            facets_by_recursion(Params(5, 6, 8))
+
+    def test_bogus_generator_is_an_ambiguous_shift(self, monkeypatch):
+        # (0, 1, 2, 4, 5) retracts onto itself at n = 6, but its shift
+        # misses 0, unlike the shift of the facet's real generator
+        # (-2, -1, 1, 2, 4, 5).
+        real = _facet_generator_map(Params(5, 6, 6))
+        facet = (0, 1, 2, 4, 5)
+        assert rsh(facet, Params(5, 6, 7)) == (0, 2, 3, 5, 6)
+        bogus = {**real, facet: [*real[facet], facet]}
+        monkeypatch.setattr(ordinary, "_facet_generator_map", lambda p: bogus)
+        with pytest.raises(AssertionError, match=r"ambiguous right shift of \(0, 1, 2, 4, 5\)"):
+            facets_by_recursion(Params(5, 6, 8))
