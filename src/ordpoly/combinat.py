@@ -4,9 +4,10 @@ A face of a polytope or of a triangulation is identified with its vertex
 set, stored as a strictly increasing tuple of integer labels.  This module
 supplies the primitive operations on such sets: retraction (clamping into
 [0, n]), Gale evenness, paired subsets, maximal runs, even positions, the
-colexicographic order used throughout, and the bitmask encoding (bit v set
-iff label v is in the set) with the maximal-masks helper and the shelling
-wall test built on it.
+colexicographic order used throughout, the bitmask encoding (bit v set
+iff label v is in the set) with the maximal-masks helper, and the shelling
+wall test, which reads per-vertex incidence bitsets (bit i of row v set iff
+cell i holds vertex v).
 """
 
 from __future__ import annotations
@@ -226,23 +227,47 @@ def simplex_walls(cell: int) -> list[int]:
     return [cell ^ (1 << v) for v in set_bits(cell)]
 
 
-def shelling_walls(
-    cell: int, walls: Sequence[int], earlier: Sequence[int]
-) -> list[int] | None:
-    """The shelling rule for one step, on vertex bitmasks.
+def cells_holding(mask: int, rows: Sequence[int], earlier: int) -> int:
+    """The cells of ``earlier`` that hold every vertex of ``mask``: the AND
+    of the incidence rows of its vertices, masked by ``earlier``."""
+    for v in set_bits(mask):
+        earlier &= rows[v]
+    return earlier
 
-    Past the first step (``earlier`` nonempty) some wall of ``cell`` must
+
+def shelling_walls(
+    cell: int, walls: Sequence[int], rows: Sequence[int], earlier: int
+) -> list[int] | None:
+    """The shelling rule for one step, on per-vertex incidence bitsets.
+
+    ``rows[v]`` is the bitset of the cells that hold vertex v, and
+    ``earlier`` the bitset of the cells placed before ``cell``; bits of
+    ``rows`` outside ``earlier`` are ignored.  Every wall must be a
+    subset of ``cell``, and ``rows`` must have an entry for each vertex
+    of ``cell``.
+
+    Past the first step (``earlier`` nonzero) some wall of ``cell`` must
     lie in an earlier cell, and every nonempty meet of ``cell`` with an
     earlier cell must sit inside one of those covered walls.  Returns the
-    covered wall indices, or None when the rule fails.  A wall lies in an
-    earlier cell iff it lies in their meet, and every meet lies in a
-    maximal one, so both conditions read the maximal meets alone.
+    covered wall indices, or None when the rule fails.  A wall W is
+    covered iff some earlier cell holds all its vertices, and an earlier
+    cell meets ``cell`` inside W iff it holds no vertex of ``cell`` outside
+    W, so neither condition visits the earlier cells one by one.
     """
-    meets = _maximal({cell & e for e in earlier})
-    covered = [i for i, w in enumerate(walls) if any(w & ~m == 0 for m in meets)]
+    covered: list[int] = []
+    inside = 0
+    for i, wall in enumerate(walls):
+        if cells_holding(wall, rows, earlier):
+            covered.append(i)
+            outside = 0
+            for v in set_bits(cell & ~wall):
+                outside |= rows[v]
+            inside |= earlier & ~outside
     if earlier and not covered:
         return None
-    for meet in meets:
-        if meet and not any(meet & ~walls[i] == 0 for i in covered):
-            return None
+    touching = 0
+    for v in set_bits(cell):
+        touching |= rows[v]
+    if touching & earlier & ~inside:
+        return None
     return covered

@@ -97,21 +97,34 @@ def rsh(face: VertexSet, p: Params) -> VertexSet:
     the facet is shifted and the images are required to agree.
     """
     d, k, n = p.d, p.k, p.n
-    source = Params(d, k, n - 1)
     if p.is_multiplex:
-        # Clamped windows shift by index: the facet omitting i becomes the
-        # facet omitting i+1, and F_0 of the source maps onto F_0 again
-        # only through its generator; index lookup keeps this exact.
-        facets = multiplex_facets(d, n - 1)
-        try:
-            i = facets.index(face)
-        except ValueError:
-            raise ValueError(f"{face} is not a facet of {source}") from None
-        return multiplex_facet(d, n, i + 1)
+        return _shift_by_index(face, _window_indices(d, n - 1), p)
+    source = Params(d, k, n - 1)
     gens = _facet_generator_map(source).get(face)
     if gens is None:
         raise ValueError(f"{face} is not a facet of {source}")
     return _shift_generators(face, gens, n)[0]
+
+
+def _window_indices(d: int, n: int) -> dict[VertexSet, int]:
+    """Each facet of the multiplex M^{d,n} with its window index."""
+    return {f: i for i, f in enumerate(multiplex_facets(d, n))}
+
+
+def _shift_by_index(
+    face: VertexSet, indices: dict[VertexSet, int], p: Params
+) -> VertexSet:
+    """The multiplex right shift onto p, given the window indices of the
+    facets one size down.
+
+    Clamped windows shift by index: the facet omitting i becomes the facet
+    omitting i+1, and F_0 of the source maps onto F_0 again only through
+    its generator; index lookup keeps this exact.
+    """
+    i = indices.get(face)
+    if i is None:
+        raise ValueError(f"{face} is not a facet of {Params(p.d, p.k, p.n - 1)}")
+    return multiplex_facet(p.d, p.n, i + 1)
 
 
 def _shift_generators(
@@ -178,14 +191,18 @@ def facets_by_recursion(p: Params) -> list[VertexSet]:
     shifting raises the maximum to at least n-1.  For k > d the right
     shift acts on generators carried up from the base (see
     ``_carried_generators``), so one call reads one generator map; the
-    multiplex case k = d shifts by window index.
+    multiplex case k = d shifts by window index, through one index map
+    per level.
     """
     if p.is_multiplex:
         facets = _gale_facets(Params(p.d, p.k, p.k))
         for nn in range(p.k + 1, p.n + 1):
             target = Params(p.d, p.k, nn)
+            indices = _window_indices(p.d, nn - 1)
             kept = [f for f in facets if max(f) <= nn - 2]
-            shifted = [rsh(f, target) for f in facets if max(f) >= nn - 2]
+            shifted = [
+                _shift_by_index(f, indices, target) for f in facets if max(f) >= nn - 2
+            ]
             if set(kept) & set(shifted):
                 raise AssertionError(f"facet recursion overlap at n={nn}")
             facets = colex_sorted(kept + shifted)

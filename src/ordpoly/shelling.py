@@ -142,13 +142,14 @@ def minimal_new_face_recursive(face: VertexSet, p: Params) -> VertexSet:
 
     A facet not touching the top two labels is already a facet of the
     polytope one size down; otherwise its left shift is, and the new face
-    shifts back up with it.
+    shifts back up with it.  The first step repeats until the facet
+    reaches the top two labels or n = k, so it jumps there at once.
     """
     d, k, n = p.d, p.k, p.n
     if n == k:
         return _cyclic_new_face(face, p)
     if face[-1] <= n - 2:
-        return minimal_new_face_recursive(face, Params(d, k, n - 1))
+        return minimal_new_face_recursive(face, Params(d, k, max(k, face[-1] + 1)))
     below = minimal_new_face_recursive(lsh(face, p), Params(d, k, n - 1))
     if not below:
         # The left shift hit the colex-first facet, whose new face is
@@ -220,15 +221,26 @@ _STATE_BUDGET = 500_000
 
 
 @lru_cache(maxsize=None)
-def _ridge_walls(e: int, p: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+def _ridge_walls(
+    e: int, p: int
+) -> tuple[tuple[tuple[int, tuple[int, ...]], ...], tuple[int, ...]]:
     """(mask, wall masks) of each facet of the e-multiplex with p+1
-    vertices, in position space.  For e = 1 these are the two ends of an
-    edge, whose walls are never read."""
+    vertices, in position space, and per position v the bitset of the
+    facets holding v.  For e = 1 the facets are the two ends of an edge,
+    whose walls are never read."""
     if e == 1:
         if p != 1:
             raise ValueError(f"a 1-face has exactly 2 vertices, got {p + 1}")
-        return ((0b01, ()), (0b10, ()))
-    return tuple((mask_of(r), tuple(_walls(r, e - 1))) for r in multiplex_facets(e, p))
+        ridges: tuple[tuple[int, tuple[int, ...]], ...] = ((0b01, ()), (0b10, ()))
+    else:
+        ridges = tuple(
+            (mask_of(r), tuple(_walls(r, e - 1))) for r in multiplex_facets(e, p)
+        )
+    rows = [0] * (p + 1)
+    for q, (mask, _) in enumerate(ridges):
+        for v in set_bits(mask):
+            rows[v] |= 1 << q
+    return ridges, tuple(rows)
 
 
 def _walls(face: VertexSet, e: int) -> list[int]:
@@ -236,7 +248,7 @@ def _walls(face: VertexSet, e: int) -> list[int]:
     its ridges carried from position space to the face's labels."""
     return [
         mask_of(face[t] for t in set_bits(ridge))
-        for ridge, _ in _ridge_walls(e, len(face) - 1)
+        for ridge, _ in _ridge_walls(e, len(face) - 1)[0]
     ]
 
 
@@ -261,38 +273,39 @@ def verify_shelling_topological(
     earlier in the process; a search that outgrows the budget raises
     RuntimeError.
     """
-    memo: dict[tuple[int, int, frozenset[int], frozenset[int] | None], bool] = {}
+    memo: dict[tuple[int, int, int, int | None], bool] = {}
 
-    def fits(e: int, cell: int, walls: Sequence[int], earlier: list[int]) -> bool:
-        # The step rule for an (e-1)-cell placed after ``earlier``: its
-        # covered walls must start a shelling of its own boundary.
+    def fits(
+        e: int, cell: int, walls: Sequence[int], rows: Sequence[int], earlier: int
+    ) -> bool:
+        # The step rule for an (e-1)-cell placed after the cells of
+        # ``earlier``: its covered walls must start a shelling of its own
+        # boundary.
         if not earlier:
             return True
-        covered = shelling_walls(cell, walls, earlier)
+        covered = shelling_walls(cell, walls, rows, earlier)
         return covered is not None and extendable(
-            e - 1, cell.bit_count() - 1, frozenset(), frozenset(covered)
+            e - 1, cell.bit_count() - 1, 0, mask_of(covered)
         )
 
-    def extendable(
-        e: int, p: int, placed: frozenset[int], chosen: frozenset[int]
-    ) -> bool:
-        # Can ``placed`` grow into a shelling of the boundary of the
-        # e-multiplex with p+1 vertices, placing the rest of ``chosen``
-        # first?  Once ``chosen`` is placed the answer no longer depends
-        # on it, so those keys are shared.
+    def extendable(e: int, p: int, placed: int, chosen: int) -> bool:
+        # Can the ridges of ``placed`` (a bitmask of ridge indices) grow
+        # into a shelling of the boundary of the e-multiplex with p+1
+        # vertices, placing the rest of ``chosen`` first?  Once ``chosen``
+        # is placed the answer no longer depends on it, so those keys are
+        # shared.
         if e <= 1:
             return True
-        rest = chosen - placed
+        rest = chosen & ~placed
         key = (e, p, placed, chosen if rest else None)
         if key in memo:
             return memo[key]
-        ridges = _ridge_walls(e, p)
-        earlier = [ridges[q][0] for q in placed]
-        candidates = sorted(rest) if rest else range(len(ridges))
-        ok = len(placed) == len(ridges) or any(
-            f not in placed
-            and fits(e, *ridges[f], earlier)
-            and extendable(e, p, placed | {f}, chosen)
+        ridges, rows = _ridge_walls(e, p)
+        candidates = set_bits(rest) if rest else range(len(ridges))
+        ok = placed.bit_count() == len(ridges) or any(
+            not placed >> f & 1
+            and fits(e, *ridges[f], rows, placed)
+            and extendable(e, p, placed | 1 << f, chosen)
             for f in candidates
         )
         memo[key] = ok
@@ -300,10 +313,11 @@ def verify_shelling_topological(
             raise RuntimeError("topological shelling search exceeded its state budget")
         return ok
 
-    earlier: list[int] = []
-    for face in facet_order:
+    rows = [0] * (max((v for f in facet_order for v in f), default=-1) + 1)
+    for j, face in enumerate(facet_order):
         cell = mask_of(face)
-        if not fits(d, cell, _walls(face, d - 1), earlier):
+        if not fits(d, cell, _walls(face, d - 1), rows, (1 << j) - 1):
             return False, face
-        earlier.append(cell)
+        for v in face:
+            rows[v] |= 1 << j
     return True, None

@@ -21,6 +21,7 @@ from .combinat import (
     Interval,
     Params,
     VertexSet,
+    cells_holding,
     colex_sorted,
     is_gale,
     mask_of,
@@ -116,15 +117,18 @@ def shelling_restriction_faces(simplices: Sequence[VertexSet]) -> list[VertexSet
     earlier simplex.  The shelling property itself is certified along the
     way: past the first step some wall must be covered, and every
     intersection with an earlier simplex must sit inside a covered wall.
+    Each vertex keeps the bitset of the simplices placed so far that hold
+    it, so a step reads the rows of its own vertices only.
     """
-    earlier: list[int] = []
+    rows = [0] * (max((v for s in simplices for v in s), default=-1) + 1)
     out: list[VertexSet] = []
     for idx, simplex in enumerate(simplices):
+        placed = (1 << idx) - 1
         smask = mask_of(simplex)
         walls = simplex_walls(smask)
-        covered = shelling_walls(smask, walls, earlier)
+        covered = shelling_walls(smask, walls, rows, placed)
         if covered is None:
-            if not any(w & ~e == 0 for w in walls for e in earlier):
+            if not any(cells_holding(w, rows, placed) for w in walls):
                 raise ValueError(
                     f"step {idx + 1}: {simplex} meets no earlier simplex in a wall"
                 )
@@ -134,7 +138,8 @@ def shelling_restriction_faces(simplices: Sequence[VertexSet]) -> list[VertexSet
             )
         vertices = sorted(simplex)
         out.append(tuple(vertices[i] for i in covered))
-        earlier.append(smask)
+        for v in simplex:
+            rows[v] |= 1 << idx
     return out
 
 

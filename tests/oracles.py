@@ -6,7 +6,7 @@ the library's run/shift machinery in the loop, so they can arbitrate.
 
 from itertools import combinations
 
-from ordpoly.combinat import _maximal, colex_key, set_bits
+from ordpoly.combinat import _maximal, colex_key, mask_of, set_bits, simplex_walls
 from ordpoly.hvector import expand_x_minus_one
 from ordpoly.lattice import FaceCapError
 
@@ -174,6 +174,35 @@ def shelling_walls_by_scans(cell: int, walls, earlier) -> list[int] | None:
         if meet and not any(meet & ~walls[i] == 0 for i in covered):
             return None
     return covered
+
+
+def restriction_faces_by_scans(simplices) -> list[tuple[int, ...]]:
+    """Restriction faces of an ordered simplicial complex, replayed through
+    ``shelling_walls_by_scans`` with the list of earlier simplex masks.
+
+    Refuses a step with the same two messages as the library's wall
+    oracle: no wall lies in an earlier simplex, or some earlier simplex
+    meets the step outside every covered wall.
+    """
+    earlier: list[int] = []
+    out = []
+    for idx, simplex in enumerate(simplices):
+        cell = mask_of(simplex)
+        walls = simplex_walls(cell)
+        covered = shelling_walls_by_scans(cell, walls, earlier)
+        if covered is None:
+            if not any(w & ~e == 0 for w in walls for e in earlier):
+                raise ValueError(
+                    f"step {idx + 1}: {simplex} meets no earlier simplex in a wall"
+                )
+            raise ValueError(
+                f"step {idx + 1}: {simplex} meets an earlier simplex "
+                "outside every covered wall"
+            )
+        vertices = sorted(simplex)
+        out.append(tuple(vertices[i] for i in covered))
+        earlier.append(cell)
+    return out
 
 
 def euler_by_pairs(lattice) -> bool:

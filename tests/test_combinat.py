@@ -21,6 +21,7 @@ from ordpoly.combinat import (
     paired_subsets,
     retract,
     run_containing,
+    set_bits,
     shelling_walls,
     simplex_walls,
 )
@@ -214,7 +215,12 @@ class TestMasks:
     @given(wall_cases())
     def test_shelling_walls_matches_two_scans(self, case):
         cell, walls, earlier = case
-        assert shelling_walls(cell, walls, earlier) == shelling_walls_by_scans(
+        rows = [0] * 16
+        for i, e in enumerate(earlier):
+            for v in set_bits(e):
+                rows[v] |= 1 << i
+        placed = (1 << len(earlier)) - 1
+        assert shelling_walls(cell, walls, rows, placed) == shelling_walls_by_scans(
             cell, walls, earlier
         )
 

@@ -104,6 +104,18 @@ class TestShifts:
         for f in enumerate_facets(Params(5, 5, 7)):
             assert rsh(f, target) in bigger
 
+    def test_rsh_refuses_a_non_facet_of_a_multiplex(self):
+        refusal = r"^\(0, 1, 2\) is not a facet of P\^\{5,5,7\}$"
+        with pytest.raises(ValueError, match=refusal):
+            rsh((0, 1, 2), Params(5, 5, 8))
+
+    @pytest.mark.parametrize("dkn", [(5, 5, 120), (6, 6, 120)])
+    def test_multiplex_recursion_over_many_levels(self, dkn):
+        # Over a hundred levels of the window-index shift, against the
+        # clamped-window enumeration.
+        p = Params(*dkn)
+        assert facets_by_recursion(p) == enumerate_facets(p)
+
     @given(st.sampled_from([(5, 6, 8), (5, 7, 9), (7, 9, 12)]))
     @settings(deadline=None, max_examples=3)
     def test_lsh_lands_in_smaller_instance(self, dkn):

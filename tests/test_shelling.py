@@ -51,12 +51,24 @@ class TestTableGolden:
 class TestNewFaceRoutes:
     @pytest.mark.parametrize(
         "dkn",
-        [(5, 6, 8), (5, 6, 6), (5, 7, 9), (7, 9, 11), (5, 5, 9), (4, 4, 7), (6, 6, 9)],
+        [
+            (5, 6, 8), (5, 6, 6), (5, 7, 9), (7, 9, 11), (5, 5, 9), (4, 4, 7),
+            (6, 6, 9), (5, 6, 120), (9, 11, 40), (5, 5, 60), (6, 6, 40),
+        ],
     )
     def test_recursive_equals_nonrecursive(self, dkn, bundles):
         b = bundles(*dkn)
         for step in b.steps:
             assert minimal_new_face_recursive(step.facet, b.p) == step.new_face
+
+    def test_recursion_skips_the_levels_a_facet_passes(self, bundles):
+        # Walking down one n at a time costs 14 490 misses here; a facet
+        # below the top two labels jumps to n = max(k, max F + 1) instead.
+        b = bundles(5, 6, 120)
+        minimal_new_face_recursive.cache_clear()
+        for step in b.steps:
+            minimal_new_face_recursive(step.facet, b.p)
+        assert minimal_new_face_recursive.cache_info().misses < 3000
 
     @pytest.mark.parametrize("dkn", [(5, 6, 8), (5, 7, 9), (5, 5, 8), (4, 4, 7)])
     def test_antistar_oracle(self, dkn, bundles):
@@ -181,3 +193,15 @@ class TestTopological:
             with pytest.raises(RuntimeError, match="state budget"):
                 check(large)
             assert check(small) == (True, None)
+
+    @pytest.mark.parametrize("budget, fits", [(2390, True), (2389, False)])
+    def test_state_count_at_9_12_25(self, budget, fits, bundles, monkeypatch):
+        # The colex order of P^{9,12,25} needs exactly 2 390 states; the
+        # count pins the search space, not only the verdict.
+        monkeypatch.setattr(shelling, "_STATE_BUDGET", budget)
+        b = bundles(9, 12, 25)
+        if fits:
+            assert verify_shelling_topological(b.facets, b.p.d) == (True, None)
+        else:
+            with pytest.raises(RuntimeError, match="state budget"):
+                verify_shelling_topological(b.facets, b.p.d)

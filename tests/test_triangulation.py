@@ -2,6 +2,7 @@
 
 import pytest
 
+from oracles import restriction_faces_by_scans
 from ordpoly.combinat import Params
 from ordpoly.triangulation import (
     boundary_triangulation,
@@ -95,6 +96,47 @@ class TestRestrictionOracle:
     def test_rejects_meet_outside_covered_walls(self):
         with pytest.raises(ValueError, match="outside every covered wall"):
             shelling_restriction_faces([(0, 1, 2), (1, 2, 3), (2, 3, 4), (0, 3, 4)])
+
+    @pytest.mark.parametrize("dkn", [(5, 6, 40), (7, 10, 30)])
+    def test_replay_by_scans(self, dkn, bundles):
+        simplices = [s.simplex for s in bundles(*dkn).tri_steps]
+        assert shelling_restriction_faces(simplices) == restriction_faces_by_scans(
+            simplices
+        )
+
+    @pytest.mark.parametrize("dkn", [(5, 6, 40), (7, 10, 30)])
+    def test_reversed_order_is_the_complement(self, dkn, bundles):
+        # The boundary is a sphere, so the reversed shelling is one too, and
+        # each of its restriction faces is the simplex minus the forward one.
+        steps = bundles(*dkn).tri_steps
+        reverse = [s.simplex for s in reversed(steps)]
+        faces = shelling_restriction_faces(reverse)
+        assert faces == restriction_faces_by_scans(reverse)
+        assert faces == [
+            tuple(v for v in s.simplex if v not in s.new_face) for s in reversed(steps)
+        ]
+
+    @pytest.mark.parametrize(
+        "dkn, swap, reason",
+        [
+            ((5, 6, 40), 2, "meets no earlier simplex in a wall"),
+            ((5, 6, 40), 4, "outside every covered wall"),
+            ((7, 10, 30), 8, "outside every covered wall"),
+            ((7, 10, 30), 30, "meets no earlier simplex in a wall"),
+        ],
+    )
+    def test_swapped_neighbours_are_refused_like_the_scans(
+        self, dkn, swap, reason, bundles
+    ):
+        order = [s.simplex for s in bundles(*dkn).tri_steps]
+        order[swap], order[swap + 1] = order[swap + 1], order[swap]
+        with pytest.raises(ValueError) as scans:
+            restriction_faces_by_scans(order)
+        with pytest.raises(ValueError) as rows:
+            shelling_restriction_faces(order)
+        assert str(rows.value) == str(scans.value)
+        assert str(rows.value).startswith(f"step {swap + 1}: ")
+        assert reason in str(rows.value)
 
     def test_multiplex_59_fourth_facet_ladder(self, bundles):
         b = bundles(5, 5, 9)
