@@ -3,16 +3,19 @@
 Every proper face of a polytope is an intersection of facets, so the
 closure of the facet list under intersection, together with the empty
 face and the whole vertex set, is the full face lattice.  The closure is
-walked top-down along its cover relation: the lower covers of a face H
-are the maximal meets H & F over the facets F that do not contain H
+walked up from the empty face along its cover relation, over bitsets of
+facets: the upper covers of a face G are the smallest faces generated by
+G and one more vertex, found from the facets holding G and that vertex
 (Kaibel and Pfetsch, "Computing the face lattice of a polytope from its
-vertex-facet incidences", Comput. Geom. 23, 2002).  Faces are stored as
-``combinat.mask_of`` integers, so vertex labels are unbounded.  The one
-stored incidence is the up-set of each of the n+1 vertices, a bitset
-over rows.  Faces are ordered by containment, so both directions of the
-order are read off it and never stored per face: the faces above a face
-lie above each of its vertices, the faces below it hold no vertex outside
-it.  Each face also keeps its class of lower intervals, and each class
+vertex-facet incidences", Comput. Geom. 23, 2002).  An ordinary polytope
+has far fewer vertices than facets, so a face ANDs the facet bitsets of
+a few groups of vertices instead of meeting every facet.  Faces are
+stored as ``combinat.mask_of`` integers, so vertex labels are unbounded.
+The one stored incidence is the up-set of each of the n+1 vertices, a
+bitset over rows.  Faces are ordered by containment, so both directions
+of the order are read off it and never stored per face: the faces above
+a face lie above each of its vertices, the faces below it hold no vertex
+outside it.  Each face also keeps its class of lower intervals, and each class
 its first row: faces share a class when their down-sets agree once each
 face's vertices are renumbered 0, 1, ... in increasing order.  Every
 interval [x, y] is isomorphic to one ending at the first row of y's class.
@@ -50,18 +53,6 @@ class FaceCapError(RuntimeError):
     so nothing was evaluated; not a mathematical failure."""
 
 
-def _positions(sub: int, mask: int) -> int:
-    """The bitmask ``sub`` of a subset of ``mask``, renumbered onto the
-    positions 0..|mask|-1 of mask's vertices in increasing order."""
-    out = (1 << mask.bit_count()) - 1
-    missing = mask ^ sub
-    while missing:
-        low = missing & -missing
-        out ^= 1 << (mask & (low - 1)).bit_count()
-        missing ^= low
-    return out
-
-
 class FaceLattice:
     """Graded face lattice of a polytope, from the empty face to the top.
 
@@ -94,25 +85,40 @@ class FaceLattice:
         # the cover renumbered into the face's vertex positions with the
         # cover's class.  The covers are the maximal faces below, so equal
         # keys rebuild equal renumbered down-sets, and equal down-sets give
-        # equal keys: the key is exact.
+        # equal keys: the key is exact.  A cover is renumbered by clearing
+        # the position of each vertex it misses: the count of the face's
+        # vertices below that vertex.
         classes: dict[tuple[int, frozenset[tuple[int, int]]], int] = {}
         class_of: list[int] = []
         reps: list[int] = []
-        for row, (mask, below) in enumerate(zip(self._masks, covers)):
-            key = frozenset((_positions(self._masks[c], mask), class_of[c]) for c in below)
-            cls = classes.setdefault((mask.bit_count(), key), len(reps))
+        masks = self._masks
+        for row, (mask, below) in enumerate(zip(masks, covers)):
+            size = mask.bit_count()
+            key = []
+            for c in below:
+                renumbered = (1 << size) - 1
+                missing = mask ^ masks[c]
+                while missing:
+                    low = missing & -missing
+                    renumbered ^= 1 << (mask & (low - 1)).bit_count()
+                    missing ^= low
+                key.append((renumbered, class_of[c]))
+            cls = classes.setdefault((size, frozenset(key)), len(reps))
             if cls == len(reps):
                 reps.append(row)
             class_of.append(cls)
         self._class_of = tuple(class_of)
         # The first row of each class, ascending.
         self._class_reps = tuple(reps)
-        self._all = (1 << len(self._masks)) - 1
-        # The up-set of vertex v: the rows of the faces holding v.
-        self._vertex_rows = [0] * (self.n + 1)
-        for row, face in enumerate(self.faces):
+        self._all = (1 << len(masks)) - 1
+        # The up-set of vertex v: the rows of the faces holding v, written
+        # as binary digits from the last row down and read as one int.
+        digits = [bytearray(b"0" * len(masks)) for _ in range(self.n + 1)]
+        one = ord("1")
+        for place, face in enumerate(reversed(self.faces)):
             for v in face:
-                self._vertex_rows[v] |= 1 << row
+                digits[v][place] = one
+        self._vertex_rows = [int(row_digits, 2) for row_digits in digits]
 
     # -- basic queries ---------------------------------------------------
 
@@ -208,42 +214,62 @@ def _closure_masks(
     """Every face of the closure, mapped to the masks of its lower covers
     and to its depth below the top.
 
-    A face below H is inside some facet that misses H, hence inside a
-    meet H & F; so the maximal meets are the lower covers, and walking
-    them down from the top reaches every face.  The walk is depth-first
-    and expands each face once, from the meets of the face that first
-    reached it: if H lies in P, then H & F = H & (P & F), so H's meets
-    are H & m over P's meets m.  A face's depth is fixed at its first
-    reach; it is a rank function, and then the rank, iff every lower
-    cover lies exactly one level below its face, which is checked on
-    every cover, so the walk refuses exactly the ungraded closures.  The
-    top is not counted against the cap.
+    The walk goes up from the empty face over facet bitsets.  A face G
+    carries Phi(G), the bitset of the facets holding it.  For a vertex v
+    outside G, the face generated by G and v is the meet of the facets in
+    its key Phi(G) & frow[v], where frow[v] is the bitset of the facets
+    holding v, and that face's Phi is its key.  A larger key is a smaller
+    face, so the upper covers of G are the faces of the maximal keys, each
+    G together with every vertex of that key (Kaibel and Pfetsch 2002);
+    the key 0 stands for the top, which no facet holds.  Vertices that
+    share a key form a group.  For a cover c of G, the key of a vertex v
+    at c is Phi(c) & (v's key at G), so each face is expanded from the
+    groups of the face that first reached it, not from every vertex.
+    When every facet holds some vertices, they form the one cover of the
+    empty face.  A face's height is fixed at its first reach; it is a
+    rank function, and then the rank, iff every upper cover lies exactly
+    one level above its face, which is checked on every cover, so the
+    walk refuses exactly the ungraded closures.  The top is not counted
+    against the cap.
     """
-    covers: dict[int, list[int]] = {}
-    depth = {top_mask: 0}
-    # Each entry holds a face and its parent's meets; siblings share them,
-    # so at most one set of meets per level of the current path is alive.
-    stack = [(top_mask, facet_masks)]
+    frow = dict.fromkeys(set_bits(top_mask), 0)
+    for i, f in enumerate(facet_masks):
+        for v in set_bits(f):
+            frow[v] |= 1 << i
+    lower: dict[int, list[int]] = {0: []}
+    height = {0: 0}
+    # Each entry holds a face, its Phi and its parent's groups; siblings
+    # share them, so at most one set of groups per level of the current
+    # path is alive.
+    stack = [(0, (1 << len(facet_masks)) - 1, [(held, 1 << v) for v, held in frow.items()])]
     while stack:
-        face, parent_meets = stack.pop()
-        meets = {m for pm in parent_meets if (m := face & pm) != face}
-        if not meets and face:  # inside every facet: covers only the empty face
-            meets = {0}
-        below = _maximal(meets)
-        covers[face] = below
-        level = depth[face] + 1
-        for meet in below:
-            if meet not in depth:
-                depth[meet] = level
-                stack.append((meet, meets))
-                if len(depth) > cap + 1:
+        face, phi, parent_groups = stack.pop()
+        groups: dict[int, int] = {}
+        for key, vertices in parent_groups:
+            if not vertices & face:
+                key &= phi
+                groups[key] = groups.get(key, 0) | vertices
+        level = height[face] + 1
+        shared = groups.items()
+        for key in _maximal(groups):
+            cover = face | groups[key]
+            if cover not in height:
+                height[cover] = level
+                lower[cover] = [face]
+                stack.append((cover, key, shared))
+                if len(height) > cap + 1:
                     raise FaceCapError(
                         f"face closure exceeds the cap of {cap} faces; "
                         "raise ORDPOLY_MAX_FACES to allow more"
                     )
-            elif depth[meet] != level:
+            elif height[cover] == level:
+                lower[cover].append(face)
+            else:
                 raise ValueError("face closure is not graded")
-    return covers, depth
+    rank = height[top_mask]
+    for face, h in height.items():
+        height[face] = rank - h
+    return lower, height
 
 
 def build_face_lattice(facets: Sequence[VertexSet], d: int) -> FaceLattice:
@@ -281,13 +307,13 @@ def build_face_lattice(facets: Sequence[VertexSet], d: int) -> FaceLattice:
 
     # Numeric order of masks is colex order of the vertex sets.
     masks = sorted(depth, key=lambda m: (-depth[m], m))
+    dims = [d - depth[m] for m in masks]
+    del depth
+    # The walk's cover lists go as soon as they are re-listed by row.
     row = {m: i for i, m in enumerate(masks)}
-    return FaceLattice(
-        masks,
-        [d - depth[m] for m in masks],
-        d,
-        [[row[c] for c in covers[m]] for m in masks],
-    )
+    covers_by_row = [[row[c] for c in covers.pop(m)] for m in masks]
+    del covers, row
+    return FaceLattice(masks, dims, d, covers_by_row)
 
 
 def euler_witness(lattice: FaceLattice) -> tuple[VertexSet, VertexSet] | None:

@@ -148,11 +148,14 @@ def shallowness_check(
 ) -> tuple[bool, VertexSet | None]:
     """Certify dim carrier(sigma) <= 2 dim sigma for every simplex face.
 
-    Returns (True, None) or (False, witness face).
+    Only the faces with 2 dim sigma < d are listed: a carrier is a face of
+    the polytope, of dimension at most d, so a larger face cannot fail.
+    Returns (True, None) or (False, the first failing face in sorted order).
     """
+    largest = (lattice.d + 1) // 2  # the largest size with 2 (size - 1) < d
     faces: set[VertexSet] = set()
     for simplex in simplices:
-        for size in range(1, len(simplex) + 1):
+        for size in range(1, min(len(simplex), largest) + 1):
             faces.update(combinations(simplex, size))
     ordered = sorted(faces)
     carrier_dims = lattice.carrier_dims([mask_of(f) for f in ordered])

@@ -205,6 +205,22 @@ def restriction_faces_by_scans(simplices) -> list[tuple[int, ...]]:
     return out
 
 
+def shallowness_by_all_faces(simplices, lattice):
+    """Shallowness over every face of every simplex, whatever its size:
+    (True, None), or (False, the first face in sorted order whose carrier
+    has dimension above 2 dim sigma)."""
+    faces = set()
+    for simplex in simplices:
+        for size in range(1, len(simplex) + 1):
+            faces.update(combinations(simplex, size))
+    ordered = sorted(faces)
+    carrier_dims = lattice.carrier_dims([mask_of(f) for f in ordered])
+    for face, cdim in zip(ordered, carrier_dims):
+        if cdim > 2 * (len(face) - 1):
+            return False, face
+    return True, None
+
+
 def euler_by_pairs(lattice) -> bool:
     """Eulerian test over every comparable pair, two popcounts each.
 

@@ -19,6 +19,7 @@ from ordpoly.combinat import Params, colex_key, face_of, mask_of, set_bits
 from ordpoly.hvector import toric_tables
 from ordpoly.lattice import (
     DEFAULT_MAX_FACES,
+    FaceCapError,
     FaceLattice,
     _closure_masks,
     build_face_lattice,
@@ -191,9 +192,10 @@ class TestNotEulerian:
 
 
 class TestClosureWalk:
-    """``_closure_masks`` walks depth-first from each face's parent's meets;
-    ``oracles.closure_by_levels`` walks breadth-first over all facets.
-    Both give the same covers and depths, or the same refusal."""
+    """``_closure_masks`` walks up from the empty face, depth-first, over
+    facet bitsets grouped by the face's parent; ``oracles.closure_by_levels``
+    walks down from the top, breadth-first, over all facets.  Both give the
+    same covers and depths, or the same refusal."""
 
     @staticmethod
     def assert_same_walk(facets):
@@ -215,6 +217,29 @@ class TestClosureWalk:
 
     def test_ladder_rung(self, bundles):
         self.assert_same_walk(bundles(7, 9, 20).facets)
+
+    def test_larger_ladder_rung(self, bundles):
+        self.assert_same_walk(bundles(7, 10, 30).facets)
+
+    def test_facets_sharing_a_vertex(self, b568):
+        # The star of vertex 0: every facet holds 0, so the empty face is
+        # added below the face {0}.
+        star = [f for f in b568.facets if 0 in f]
+        self.assert_same_walk(star)
+        covers, depth = _closure_masks(
+            sorted(map(mask_of, star)), mask_of(set().union(*star)), DEFAULT_MAX_FACES
+        )
+        assert covers[1] == [0] and depth[0] == depth[1] + 1
+
+    @pytest.mark.parametrize("walk", [_closure_masks, closure_by_levels])
+    def test_cap_boundary(self, walk, b568):
+        # The top is not counted against the cap.
+        masks = sorted(map(mask_of, b568.facets))
+        top = mask_of(b568.lattice.top())
+        covers, _ = walk(masks, top, len(b568.lattice) - 1)
+        assert len(covers) == len(b568.lattice)
+        with pytest.raises(FaceCapError, match=f"cap of {len(b568.lattice) - 2} faces"):
+            walk(masks, top, len(b568.lattice) - 2)
 
     @pytest.mark.parametrize("name", NOT_EULERIAN)
     def test_off_eulerian(self, name):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from oracles import restriction_faces_by_scans
+from oracles import restriction_faces_by_scans, shallowness_by_all_faces
 from ordpoly.combinat import Params
 from ordpoly.triangulation import (
     boundary_triangulation,
@@ -10,6 +10,7 @@ from ordpoly.triangulation import (
     shelling_restriction_faces,
     simplicial_h,
 )
+from ordpoly.verify import grid_instances
 
 TABLE2_568 = [
     (1, 1, (0, 1, 2, 3, 4), ()),
@@ -163,3 +164,39 @@ class TestShallow:
             [s.simplex for s in b.tri_steps], b.lattice
         )
         assert ok, witness
+
+
+class TestShallowOracle:
+    """``shallowness_check`` lists the faces with 2 dim sigma < d only;
+    ``oracles.shallowness_by_all_faces`` lists every face."""
+
+    @staticmethod
+    def assert_same_verdict(simplices, lattice):
+        verdict = shallowness_check(simplices, lattice)
+        assert verdict == shallowness_by_all_faces(simplices, lattice)
+        return verdict
+
+    def test_grid(self, bundles):
+        for p in grid_instances():
+            b = bundles(p.d, p.k, p.n)
+            verdict = self.assert_same_verdict([s.simplex for s in b.tri_steps], b.lattice)
+            assert verdict == (True, None), p
+
+    def test_wide_d9(self, bundles):
+        b = bundles(9, 11, 40)
+        verdict = self.assert_same_verdict([s.simplex for s in b.tri_steps], b.lattice)
+        assert verdict == (True, None)
+
+    def test_same_witness_on_a_failing_list(self, b568):
+        # Every vertex of P^{5,6,8} in one "simplex", whose faces of every
+        # size are listed by the oracle.  The first failing face is a
+        # triangle in no facet, of the largest size with 2 dim sigma < d:
+        # a bound that skipped it would name another witness.
+        simplices = [s.simplex for s in b568.tri_steps] + [tuple(range(9))]
+        ok, witness = self.assert_same_verdict(simplices, b568.lattice)
+        assert (ok, witness) == (False, (0, 4, 8))
+        assert b568.lattice.dim(b568.lattice.carrier(witness)) == 5
+
+    def test_label_outside_the_lattice(self, b568):
+        with pytest.raises(ValueError, match="outside the vertex set"):
+            shallowness_check([(0, 1, 2, 3, 9)], b568.lattice)
