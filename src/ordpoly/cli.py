@@ -114,7 +114,7 @@ def _run_facets(b: InstanceBundle, args) -> tuple[int, str]:
     rows = list(enumerate(b.facets, 1))
     if args.format == "json":
         lat = b.lattice
-        lattice = {"d": lat.d, "n": lat.n, "faces": lat.faces, "dims": lat.dims}
+        lattice = {"d": lat.d, "n": lat.n, "faces": list(lat.faces), "dims": lat.dims}
         return 0, _dump(_envelope(b.p, facets=b.facets, lattice=lattice))
     if args.format == "csv":
         return 0, _csv("j,facet", rows)

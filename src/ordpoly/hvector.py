@@ -206,7 +206,7 @@ def shelling_contributions(
         for r in lattice.interval_rows(step.new_face, step.facet):
             e = lattice.dims[r]
             if 0 <= e <= d - 1:
-                surplus[e] += len(lattice.faces[r]) - (e + 1)
+                surplus[e] += lattice._masks[r].bit_count() - (e + 1)
         flag_route = expand_x_minus_one(
             ((c, 1, d - 1 - e) for e, c in enumerate(surplus) if c), d
         )

@@ -9,8 +9,12 @@ G and one more vertex, found from the facets holding G and that vertex
 (Kaibel and Pfetsch, "Computing the face lattice of a polytope from its
 vertex-facet incidences", Comput. Geom. 23, 2002).  An ordinary polytope
 has far fewer vertices than facets, so a face ANDs the facet bitsets of
-a few groups of vertices instead of meeting every facet.  Faces are
-stored as ``combinat.mask_of`` integers, so vertex labels are unbounded.
+a few groups of vertices instead of meeting every facet.
+
+A face is stored only as its ``combinat.mask_of`` integer, so vertex
+labels are unbounded.  Rows are ordered by (dimension, colex), so they
+form d+2 dimension blocks, each sorted by mask: a face's row is found by
+bisection inside a block, and vertex tuples are built only when read.
 The one stored incidence is the up-set of each of the n+1 vertices, a
 bitset over rows.  Faces are ordered by containment, so both directions
 of the order are read off it and never stored per face: the faces above
@@ -28,7 +32,8 @@ eat the machine.
 from __future__ import annotations
 
 import os
-from typing import Iterable, Sequence
+from bisect import bisect_left
+from typing import Iterable, Iterator, Sequence
 
 from .combinat import VertexSet, _maximal, face_of, mask_of, set_bits
 
@@ -53,60 +58,90 @@ class FaceCapError(RuntimeError):
     so nothing was evaluated; not a mathematical failure."""
 
 
+class _FaceRows(Sequence[VertexSet]):
+    """The faces of a lattice by row, as vertex tuples built from the masks
+    on each access; a slice gives a tuple of them."""
+
+    __slots__ = ("_masks",)
+
+    def __init__(self, masks: tuple[int, ...]):
+        self._masks = masks
+
+    def __len__(self) -> int:
+        return len(self._masks)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(face_of, self._masks[i]))
+        return face_of(self._masks[i])
+
+    def __iter__(self) -> Iterator[VertexSet]:
+        return map(face_of, self._masks)
+
+
 class FaceLattice:
     """Graded face lattice of a polytope, from the empty face to the top.
 
-    Faces are ordered by (dimension, colex); ``faces[0]`` is the empty
-    face and ``faces[-1]`` the whole vertex set.  The constructor takes
-    the rows of each face's lower covers (``covers[r]``); the lattice is
-    built and validated by ``build_face_lattice``.
+    Rows are ordered by (dimension, colex): row 0 is the empty face and
+    row -1 the whole vertex set.  The lattice holds per row a vertex
+    bitmask, a dimension and a class id, and besides those the row bounds
+    of the d+2 dimension blocks, the first row of each class and the n+1
+    vertex up-sets.  ``faces`` reads the rows as vertex tuples.  The
+    constructor takes the masks sorted by mask within each dimension
+    block, the block bounds (the rows of dimension e are
+    ``blocks[e+1]:blocks[e+2]``) and a dict mapping every mask to the
+    masks of its lower covers, which it consumes; the lattice is built and
+    validated by ``build_face_lattice``.
     """
 
     __slots__ = (
-        "faces", "dims", "d", "n", "_masks", "_index", "_all", "_vertex_rows",
+        "dims", "d", "n", "_masks", "_blocks", "_all", "_vertex_rows",
         "_class_of", "_class_reps",
     )
 
     def __init__(
         self,
         masks: Sequence[int],
-        dims: Sequence[int],
+        blocks: Sequence[int],
         d: int,
-        covers: Sequence[Sequence[int]],
+        covers: dict[int, list[int]],
     ):
-        self._masks = tuple(masks)
-        self.faces = tuple(face_of(m) for m in self._masks)
+        self._masks = masks = tuple(masks)
+        self._blocks = tuple(blocks)
+        dims: list[int] = []
+        for e in range(-1, d + 1):
+            dims += [e] * (blocks[e + 2] - blocks[e + 1])
         self.dims = tuple(dims)
         self.d = d
-        self.n = self._masks[-1].bit_length() - 1
-        self._index = {f: i for i, f in enumerate(self.faces)}
-        # Covers point to lower rows, so one ascending pass fills the
+        self.n = masks[-1].bit_length() - 1
+        # Covers lie in lower rows, so one ascending pass fills the
         # classes.  A face's class key is its size and, per lower cover,
         # the cover renumbered into the face's vertex positions with the
         # cover's class.  The covers are the maximal faces below, so equal
         # keys rebuild equal renumbered down-sets, and equal down-sets give
         # equal keys: the key is exact.  A cover is renumbered by clearing
         # the position of each vertex it misses: the count of the face's
-        # vertices below that vertex.
+        # vertices below that vertex.  Once read, a face's cover list is
+        # replaced by its class id, which its upper covers read.
         classes: dict[tuple[int, frozenset[tuple[int, int]]], int] = {}
         class_of: list[int] = []
         reps: list[int] = []
-        masks = self._masks
-        for row, (mask, below) in enumerate(zip(masks, covers)):
+        for row, mask in enumerate(masks):
             size = mask.bit_count()
             key = []
-            for c in below:
+            for c in covers[mask]:
                 renumbered = (1 << size) - 1
-                missing = mask ^ masks[c]
+                missing = mask ^ c
                 while missing:
                     low = missing & -missing
                     renumbered ^= 1 << (mask & (low - 1)).bit_count()
                     missing ^= low
-                key.append((renumbered, class_of[c]))
+                key.append((renumbered, covers[c]))
             cls = classes.setdefault((size, frozenset(key)), len(reps))
             if cls == len(reps):
                 reps.append(row)
             class_of.append(cls)
+            covers[mask] = cls
         self._class_of = tuple(class_of)
         # The first row of each class, ascending.
         self._class_reps = tuple(reps)
@@ -115,30 +150,50 @@ class FaceLattice:
         # as binary digits from the last row down and read as one int.
         digits = [bytearray(b"0" * len(masks)) for _ in range(self.n + 1)]
         one = ord("1")
-        for place, face in enumerate(reversed(self.faces)):
-            for v in face:
-                digits[v][place] = one
+        for place, mask in enumerate(reversed(masks)):
+            while mask:
+                low = mask & -mask
+                digits[low.bit_length() - 1][place] = one
+                mask ^= low
         self._vertex_rows = [int(row_digits, 2) for row_digits in digits]
 
     # -- basic queries ---------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self.faces)
+        return len(self._masks)
 
-    def __contains__(self, face: object) -> bool:
-        return face in self._index
+    @property
+    def faces(self) -> Sequence[VertexSet]:
+        """The faces by row, as strictly increasing vertex tuples."""
+        return _FaceRows(self._masks)
 
     def index(self, face: VertexSet) -> int:
-        try:
-            return self._index[face]
-        except KeyError:
-            raise ValueError(f"{face} is not a face of this lattice") from None
+        """Row of ``face``, a strictly increasing tuple of vertex labels.
+
+        A face of dimension e has at least e+1 vertices, since each of the
+        e+1 steps of a maximal chain from the empty face up to it adds a
+        vertex, so only the blocks up to dimension |face|-1 are searched,
+        that one first.
+        """
+        mask, last = 0, -1
+        for v in face:
+            if v <= last:
+                raise ValueError(f"{face} is not a face of this lattice")
+            mask |= 1 << v
+            last = v
+        masks, blocks = self._masks, self._blocks
+        for b in range(min(len(face), self.d + 1), -1, -1):  # block b holds dimension b-1
+            lo, hi = blocks[b], blocks[b + 1]
+            row = bisect_left(masks, mask, lo, hi)
+            if row < hi and masks[row] == mask:
+                return row
+        raise ValueError(f"{face} is not a face of this lattice")
 
     def dim(self, face: VertexSet) -> int:
         return self.dims[self.index(face)]
 
     def top(self) -> VertexSet:
-        return self.faces[-1]
+        return face_of(self._masks[-1])
 
     def _above(self, mask: int) -> int:
         """Bitset of the rows of all faces containing the vertex bitmask ``mask``.
@@ -170,19 +225,16 @@ class FaceLattice:
 
     def f_vector(self) -> tuple[int, ...]:
         """(f_0, ..., f_{d-1}): face counts by dimension, proper faces only."""
-        counts = [0] * self.d
-        for fd in self.dims:
-            if 0 <= fd < self.d:
-                counts[fd] += 1
-        return tuple(counts)
+        blocks = self._blocks
+        return tuple(blocks[e + 2] - blocks[e + 1] for e in range(self.d))
 
     def flag_f0(self) -> tuple[int, ...]:
         """(f_{0,1}, ..., f_{0,d-1}): total vertex count over the i-faces."""
-        sums = [0] * self.d
-        for f, fd in zip(self.faces, self.dims):
-            if 0 <= fd < self.d:
-                sums[fd] += len(f)
-        return tuple(sums[1:])
+        blocks, masks = self._blocks, self._masks
+        return tuple(
+            sum(m.bit_count() for m in masks[blocks[e + 1]:blocks[e + 2]])
+            for e in range(1, self.d)
+        )
 
     # -- carriers --------------------------------------------------------
 
@@ -201,7 +253,7 @@ class FaceLattice:
         When no facet contains sigma, the carrier is the whole polytope (the
         top face); the empty set's carrier is the empty face.
         """
-        return self.faces[self._carrier_row(mask_of(sigma))]
+        return face_of(self._masks[self._carrier_row(mask_of(sigma))])
 
     def carrier_dims(self, sigma_masks: Sequence[int]) -> list[int]:
         """Dimensions of the carriers of many nonempty vertex bitmasks."""
@@ -302,18 +354,23 @@ def build_face_lattice(facets: Sequence[VertexSet], d: int) -> FaceLattice:
     for f in facet_masks:
         if depth[f] != 1:
             raise ValueError(f"facet {face_of(f)} has dimension {d - depth[f]} != {d - 1}")
-    if {m for m, k in depth.items() if k == d} != {1 << v for v in vertices}:
-        raise ValueError("atoms of the closure are not the vertex singletons")
 
-    # Numeric order of masks is colex order of the vertex sets.
-    masks = sorted(depth, key=lambda m: (-depth[m], m))
-    dims = [d - depth[m] for m in masks]
+    # Rows in (dimension, colex) order: each face goes to the block of its
+    # dimension, and numeric order of masks within a block is colex order.
+    by_dim: list[list[int]] = [[] for _ in range(rank + 1)]
+    for m, k in depth.items():
+        by_dim[rank - k].append(m)
     del depth
-    # The walk's cover lists go as soon as they are re-listed by row.
-    row = {m: i for i, m in enumerate(masks)}
-    covers_by_row = [[row[c] for c in covers.pop(m)] for m in masks]
-    del covers, row
-    return FaceLattice(masks, dims, d, covers_by_row)
+    if sorted(by_dim[1]) != [1 << v for v in vertices]:
+        raise ValueError("atoms of the closure are not the vertex singletons")
+    masks: list[int] = []
+    blocks = [0]
+    for block in by_dim:
+        block.sort()
+        masks += block
+        blocks.append(len(masks))
+    del by_dim
+    return FaceLattice(masks, blocks, d, covers)
 
 
 def euler_witness(lattice: FaceLattice) -> tuple[VertexSet, VertexSet] | None:
@@ -322,21 +379,36 @@ def euler_witness(lattice: FaceLattice) -> tuple[VertexSet, VertexSet] | None:
 
     Rows are scanned by x, then by class representative y above x.  Only
     the up-set of x and the down-sets of the representatives are held.
+    The representatives above x are those holding every vertex of x, so
+    the pass over x's vertices that ANDs its up-set also ANDs, per vertex,
+    the bitset of the representatives holding it.
     """
+    blocks = lattice._blocks
     even = 0
-    for row, fd in enumerate(lattice.dims):
-        if fd % 2 == 0:
-            even |= 1 << row
-    masks = lattice._masks
-    reps = [(y, masks[y], lattice._below(y)) for y in lattice._class_reps]
+    for b in range(1, len(blocks) - 1, 2):  # block b holds dimension b-1
+        even |= (1 << blocks[b + 1]) - (1 << blocks[b])
+    masks, vertex_rows = lattice._masks, lattice._vertex_rows
+    reps = lattice._class_reps
+    belows = [lattice._below(y) for y in reps]
+    rep_rows = [0] * len(vertex_rows)
+    for i, y in enumerate(reps):
+        for v in set_bits(masks[y]):
+            rep_rows[v] |= 1 << i
+    every_rep = (1 << len(reps)) - 1
     for x, mask in enumerate(masks):
-        above = lattice._above(mask)
+        above, holding = lattice._all, every_rep
+        rest = mask
+        while rest:
+            low = rest & -rest
+            v = low.bit_length() - 1
+            above &= vertex_rows[v]
+            holding &= rep_rows[v]
+            rest ^= low
         above_even = above & even
-        for y, y_mask, below in reps:
-            if y == x or mask & ~y_mask:
-                continue
-            if 2 * (above_even & below).bit_count() != (above & below).bit_count():
-                return lattice.faces[x], lattice.faces[y]
+        for i in set_bits(holding):
+            y, below = reps[i], belows[i]
+            if y != x and 2 * (above_even & below).bit_count() != (above & below).bit_count():
+                return face_of(mask), face_of(masks[y])
     return None
 
 

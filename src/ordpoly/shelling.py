@@ -187,10 +187,10 @@ def verify_shelling_partition(
     for step in steps:
         for r in lattice.interval_rows(step.new_face, step.facet):
             counts[r] += 1
-    expected = [1] * (len(lattice) - 1) + [0]
-    for face, got, want in zip(lattice.faces, counts, expected):
-        if got != want:
-            return False, face
+    top = len(counts) - 1  # the top lies in no step interval
+    for row, got in enumerate(counts):
+        if got != (0 if row == top else 1):
+            return False, lattice.faces[row]
     return True, None
 
 
@@ -205,10 +205,13 @@ def boolean_interval_check(lattice: FaceLattice, bottom: VertexSet, top: VertexS
     closed under intersection, so that bijection is an order isomorphism.
     """
     rows = lattice.interval_rows(bottom, top)
-    c = lattice.dim(top) - lattice.dim(bottom)
+    if not rows:  # bottom is not inside top
+        return False
+    # the interval's first row is bottom and its last is top
+    bottom_dim = lattice.dims[rows[0]]
+    c = lattice.dims[rows[-1]] - bottom_dim
     if len(rows) != 2**c:
         return False
-    bottom_dim = lattice.dim(bottom)
     atoms = [lattice._masks[r] for r in rows if lattice.dims[r] == bottom_dim + 1]
     if len(atoms) != c:
         return False

@@ -9,10 +9,12 @@ from hypothesis import strategies as st
 
 from oracles import (
     NOT_EULERIAN,
+    PRISMS_SHARING_AN_EDGE_AND_A_VERTEX,
     SAME_RENUMBERED_COVERS,
     carrier_by_facets,
     closure_by_levels,
     euler_by_pairs,
+    euler_witness_by_containment,
     order_by_containment,
 )
 from ordpoly.combinat import Params, colex_key, face_of, mask_of, set_bits
@@ -83,9 +85,8 @@ class TestSimplex:
     def test_every_subset_is_a_face(self):
         facets = [tuple(sorted(set(range(5)) - {v})) for v in range(5)]
         lattice = build_face_lattice(facets, 4)
-        for r in range(5):
-            for sub in combinations(range(5), r):
-                assert sub in lattice
+        rows = [lattice.index(sub) for r in range(5) for sub in combinations(range(5), r)]
+        assert sorted(rows) == list(range(31))
 
 
 class TestFlagship:
@@ -181,6 +182,14 @@ class TestNotEulerian:
             even = sum(1 for r in rows if lattice.dims[r] % 2 == 0)
             assert 2 * even == len(rows)
         assert not euler_check(lattice)
+
+    def test_prisms_sharing_an_edge_and_a_vertex(self):
+        # every interval from the empty face holds, and vertices 0, 1 and 2
+        # pass, so the witness pins the scan past the empty face
+        lattice = build_face_lattice(*PRISMS_SHARING_AN_EDGE_AND_A_VERTEX)
+        assert lattice.f_vector() == (17, 29, 14)
+        assert euler_by_pairs(lattice) is False
+        assert euler_witness(lattice) == ((3,), lattice.top())
 
     @pytest.mark.parametrize("name", NOT_EULERIAN)
     def test_toric_recursion_leaves_the_verdict_to_euler_check(self, name):
@@ -290,6 +299,20 @@ class TestEulerByClasses:
     def test_no_witness_on_a_polytope(self, b568):
         assert euler_witness(b568.lattice) is None
 
+    @pytest.mark.parametrize(
+        "case", [*NOT_EULERIAN.values(), PRISMS_SHARING_AN_EDGE_AND_A_VERTEX],
+        ids=[*NOT_EULERIAN, "prisms_sharing_an_edge_and_a_vertex"],
+    )
+    def test_witness_is_the_first_failure_off_eulerian(self, case):
+        lattice = build_face_lattice(*case)
+        assert euler_witness(lattice) == euler_witness_by_containment(lattice)
+
+    @settings(max_examples=100, deadline=None)
+    @given(facet_lists())
+    def test_witness_is_the_first_failure_on_random_facet_lists(self, facets):
+        lattice = closure_lattice(facets)
+        assert euler_witness(lattice) == euler_witness_by_containment(lattice)
+
 
 class TestClassKey:
     @staticmethod
@@ -359,24 +382,73 @@ class TestDerivedOrder:
         self.assert_containment(closure_lattice(facets))
 
 
-def stored_int_bytes(lattice) -> int:
-    """``sys.getsizeof`` summed over the ints the lattice holds in its
-    slots, directly or as items of a list or tuple."""
+class TestRowAccessors:
+    """``faces`` builds each row's vertex tuple from its mask, and
+    ``index`` finds a row by bisection inside a dimension block."""
+
+    @staticmethod
+    def assert_rows(lattice):
+        faces = lattice.faces
+        assert len(faces) == len(lattice)
+        for row, mask in enumerate(lattice._masks):
+            assert faces[row] == face_of(mask)
+            assert lattice.index(faces[row]) == row
+        assert faces[-1] == lattice.top()
+        assert faces[1:4] == tuple(map(face_of, lattice._masks[1:4]))
+        assert list(faces) == [faces[r] for r in range(len(lattice))]
+
+    @pytest.mark.parametrize("p", grid_instances(), ids=str)
+    def test_grid(self, p, bundles):
+        self.assert_rows(bundles(p.d, p.k, p.n).lattice)
+
+    @pytest.mark.parametrize("dkn", [(7, 9, 20), (7, 10, 30)])
+    def test_ladder_rungs(self, bundles, dkn):
+        self.assert_rows(bundles(*dkn).lattice)
+
+    @pytest.mark.parametrize(
+        "face",
+        [
+            (0, 4, 8),  # a vertex set in no facet
+            (0, 8),  # inside a facet, but no face
+            (1, 0),  # the edge (0, 1), unsorted
+            (0, 0, 1),  # a repeated label
+            (0, 9),  # a label above n
+            (-1, 0),  # a negative label
+        ],
+    )
+    def test_index_refuses_a_non_face(self, b568, face):
+        with pytest.raises(ValueError, match="is not a face of this lattice"):
+            b568.lattice.index(face)
+
+
+def stored_bytes(lattice) -> int:
+    """``sys.getsizeof`` summed over every object the lattice's slots
+    hold: the values themselves and, inside tuples, lists, sets and dicts,
+    their items, keys and values, each object counted once."""
+    seen: set[int] = set()
+    stack = [getattr(lattice, name) for name in FaceLattice.__slots__]
     total = 0
-    for name in FaceLattice.__slots__:
-        value = getattr(lattice, name)
-        items = value if isinstance(value, (list, tuple)) else [value]
-        total += sum(sys.getsizeof(v) for v in items if isinstance(v, int))
+    while stack:
+        value = stack.pop()
+        if id(value) in seen:
+            continue
+        seen.add(id(value))
+        total += sys.getsizeof(value)
+        if isinstance(value, dict):
+            stack += value.keys()
+            stack += value.values()
+        elif isinstance(value, (tuple, list, set, frozenset)):
+            stack += value
     return total
 
 
 class TestMemory:
     @pytest.mark.parametrize("dkn", [(7, 10, 30), (9, 11, 20)])
-    def test_stored_ints_are_linear_in_the_faces(self, bundles, dkn):
-        # no bitset per face: n+1 vertex up-sets of F bits each, and a few
-        # small ints per face
+    def test_stored_objects_are_linear_in_the_faces(self, bundles, dkn):
+        # no bitset, tuple or dict entry per face: n+1 vertex up-sets of F
+        # bits each, and a mask, a dimension and a class id per face
         lattice = bundles(*dkn).lattice
-        assert stored_int_bytes(lattice) <= 128 * len(lattice)
+        assert stored_bytes(lattice) <= 128 * len(lattice)
 
 
 class TestIntervalAndDownset:

@@ -140,6 +140,10 @@ class TestBooleanIntervals:
                     verdicts.append(got)
         assert (len(verdicts), verdicts.count(False)) == (11_666, 572)
 
+    def test_bottom_outside_the_top_is_no_interval(self, b568):
+        assert not boolean_interval_check(b568.lattice, (0, 1), (6, 7, 8))
+        assert boolean_interval_check(b568.lattice, (6, 7, 8), (6, 7, 8))
+
     def test_counts_alone_do_not_pass_an_interval(self, b568):
         # P^{5,6,8} less one facet still closes to a graded lattice; there
         # this interval has 2^3 faces and 3 atoms, yet two of its faces lie
