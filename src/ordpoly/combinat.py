@@ -6,8 +6,8 @@ supplies the primitive operations on such sets: retraction (clamping into
 [0, n]), Gale evenness, paired subsets, maximal runs, even positions, the
 colexicographic order used throughout, the bitmask encoding (bit v set
 iff label v is in the set) with the maximal-masks helper, and the shelling
-wall test, which reads per-vertex incidence bitsets (bit i of row v set iff
-cell i holds vertex v).
+wall test on per-vertex incidence bitsets (bit i of row v set iff cell i
+holds vertex v), which reads walls from position tables cached per size.
 """
 
 from __future__ import annotations
@@ -16,6 +16,8 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 VertexSet = tuple[int, ...]
+# Walls of a cell, each as (positions inside it, positions outside it).
+WallTable = Sequence[tuple[Sequence[int], Sequence[int]]]
 
 
 class Interval(NamedTuple):
@@ -221,30 +223,17 @@ def _maximal(masks: Iterable[int]) -> list[int]:
     return kept
 
 
-def simplex_walls(cell: int) -> list[int]:
-    """Walls of a simplex mask: the cell minus one vertex, by increasing
-    removed vertex."""
-    return [cell ^ (1 << v) for v in set_bits(cell)]
-
-
-def cells_holding(mask: int, rows: Sequence[int], earlier: int) -> int:
-    """The cells of ``earlier`` that hold every vertex of ``mask``: the AND
-    of the incidence rows of its vertices, masked by ``earlier``."""
-    for v in set_bits(mask):
-        earlier &= rows[v]
-    return earlier
-
-
 def shelling_walls(
-    cell: int, walls: Sequence[int], rows: Sequence[int], earlier: int
+    cell: Sequence[int], walls: WallTable, rows: Sequence[int], earlier: int
 ) -> list[int] | None:
     """The shelling rule for one step, on per-vertex incidence bitsets.
 
-    ``rows[v]`` is the bitset of the cells that hold vertex v, and
-    ``earlier`` the bitset of the cells placed before ``cell``; bits of
-    ``rows`` outside ``earlier`` are ignored.  Every wall must be a
-    subset of ``cell``, and ``rows`` must have an entry for each vertex
-    of ``cell``.
+    ``cell`` lists the cell's vertex labels, and each wall is a pair
+    (positions inside the wall, positions outside it) into that list;
+    the two must split its positions.  ``rows[v]`` is the bitset of the
+    cells that hold vertex v, and ``earlier`` the bitset of the cells
+    placed before ``cell``; bits of ``rows`` outside ``earlier`` are
+    ignored.  ``rows`` must have an entry for each vertex of ``cell``.
 
     Past the first step (``earlier`` nonzero) some wall of ``cell`` must
     lie in an earlier cell, and every nonempty meet of ``cell`` with an
@@ -254,20 +243,24 @@ def shelling_walls(
     cell meets ``cell`` inside W iff it holds no vertex of ``cell`` outside
     W, so neither condition visits the earlier cells one by one.
     """
+    held = [rows[v] & earlier for v in cell]
     covered: list[int] = []
     inside = 0
-    for i, wall in enumerate(walls):
-        if cells_holding(wall, rows, earlier):
+    for i, (wall, rest) in enumerate(walls):
+        holding = earlier
+        for t in wall:
+            holding &= held[t]
+        if holding:
             covered.append(i)
             outside = 0
-            for v in set_bits(cell & ~wall):
-                outside |= rows[v]
+            for t in rest:
+                outside |= held[t]
             inside |= earlier & ~outside
     if earlier and not covered:
         return None
     touching = 0
-    for v in set_bits(cell):
-        touching |= rows[v]
-    if touching & earlier & ~inside:
+    for h in held:
+        touching |= h
+    if touching & ~inside:
         return None
     return covered

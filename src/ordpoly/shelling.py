@@ -24,6 +24,7 @@ from .combinat import (
     Interval,
     Params,
     VertexSet,
+    WallTable,
     even_positions,
     mask_of,
     maximal_runs,
@@ -223,36 +224,34 @@ def boolean_interval_check(lattice: FaceLattice, bottom: VertexSet, top: VertexS
 _STATE_BUDGET = 500_000
 
 
+class StateBudgetError(RuntimeError):
+    """The topological shelling search outgrew its state budget."""
+
+
 @lru_cache(maxsize=None)
-def _ridge_walls(
-    e: int, p: int
-) -> tuple[tuple[tuple[int, tuple[int, ...]], ...], tuple[int, ...]]:
-    """(mask, wall masks) of each facet of the e-multiplex with p+1
-    vertices, in position space, and per position v the bitset of the
-    facets holding v.  For e = 1 the facets are the two ends of an edge,
-    whose walls are never read."""
-    if e == 1:
-        if p != 1:
-            raise ValueError(f"a 1-face has exactly 2 vertices, got {p + 1}")
-        ridges: tuple[tuple[int, tuple[int, ...]], ...] = ((0b01, ()), (0b10, ()))
-    else:
-        ridges = tuple(
-            (mask_of(r), tuple(_walls(r, e - 1))) for r in multiplex_facets(e, p)
-        )
-    rows = [0] * (p + 1)
-    for q, (mask, _) in enumerate(ridges):
-        for v in set_bits(mask):
-            rows[v] |= 1 << q
-    return ridges, tuple(rows)
+def _multiplex_walls(e: int, size: int) -> WallTable:
+    """Walls of the e-multiplex on ``size`` vertices, by position: per
+    facet, (positions inside it, positions outside it).  For e = 1 the
+    facets are the two ends of an edge."""
+    if e == 1 and size != 2:
+        raise ValueError(f"a 1-face has exactly 2 vertices, got {size}")
+    facets = [(0,), (1,)] if e == 1 else multiplex_facets(e, size - 1)
+    return tuple((f, tuple(t for t in range(size) if t not in f)) for f in facets)
+
+
+@lru_cache(maxsize=None)
+def _ridges(e: int, p: int) -> tuple[tuple[VertexSet, ...], tuple[int, ...]]:
+    """The facets of the e-multiplex with p+1 vertices as position tuples,
+    and per position v the bitset of the facets holding v."""
+    ridges = tuple(inside for inside, _ in _multiplex_walls(e, p + 1))
+    rows = tuple(mask_of(q for q, r in enumerate(ridges) if v in r) for v in range(p + 1))
+    return ridges, rows
 
 
 def _walls(face: VertexSet, e: int) -> list[int]:
     """Wall masks of an e-face, seen as an e-multiplex on its own vertices:
     its ridges carried from position space to the face's labels."""
-    return [
-        mask_of(face[t] for t in set_bits(ridge))
-        for ridge, _ in _ridge_walls(e, len(face) - 1)[0]
-    ]
+    return [mask_of(face[t] for t in wall) for wall, _ in _multiplex_walls(e, len(face))]
 
 
 def verify_shelling_topological(
@@ -274,22 +273,18 @@ def verify_shelling_topological(
     order that breaks the rule.  The search memo and its state budget
     belong to this call alone, so the verdict never depends on what ran
     earlier in the process; a search that outgrows the budget raises
-    RuntimeError.
+    StateBudgetError.
     """
     memo: dict[tuple[int, int, int, int | None], bool] = {}
 
-    def fits(
-        e: int, cell: int, walls: Sequence[int], rows: Sequence[int], earlier: int
-    ) -> bool:
+    def fits(e: int, cell: Sequence[int], rows: Sequence[int], earlier: int) -> bool:
         # The step rule for an (e-1)-cell placed after the cells of
         # ``earlier``: its covered walls must start a shelling of its own
         # boundary.
         if not earlier:
             return True
-        covered = shelling_walls(cell, walls, rows, earlier)
-        return covered is not None and extendable(
-            e - 1, cell.bit_count() - 1, 0, mask_of(covered)
-        )
+        covered = shelling_walls(cell, _multiplex_walls(e - 1, len(cell)), rows, earlier)
+        return covered is not None and extendable(e - 1, len(cell) - 1, 0, mask_of(covered))
 
     def extendable(e: int, p: int, placed: int, chosen: int) -> bool:
         # Can the ridges of ``placed`` (a bitmask of ridge indices) grow
@@ -303,23 +298,22 @@ def verify_shelling_topological(
         key = (e, p, placed, chosen if rest else None)
         if key in memo:
             return memo[key]
-        ridges, rows = _ridge_walls(e, p)
+        ridges, rows = _ridges(e, p)
         candidates = set_bits(rest) if rest else range(len(ridges))
         ok = placed.bit_count() == len(ridges) or any(
             not placed >> f & 1
-            and fits(e, *ridges[f], rows, placed)
+            and fits(e, ridges[f], rows, placed)
             and extendable(e, p, placed | 1 << f, chosen)
             for f in candidates
         )
         memo[key] = ok
         if len(memo) > _STATE_BUDGET:
-            raise RuntimeError("topological shelling search exceeded its state budget")
+            raise StateBudgetError("topological shelling search exceeded its state budget")
         return ok
 
     rows = [0] * (max((v for f in facet_order for v in f), default=-1) + 1)
     for j, face in enumerate(facet_order):
-        cell = mask_of(face)
-        if not fits(d, cell, _walls(face, d - 1), rows, (1 << j) - 1):
+        if not fits(d, face, rows, (1 << j) - 1):
             return False, face
         for v in face:
             rows[v] |= 1 << j

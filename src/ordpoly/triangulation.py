@@ -14,19 +14,20 @@ principles and serves as the independent check on the U recursion.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache, reduce
 from itertools import combinations
+from operator import and_
 from typing import Sequence
 
 from .combinat import (
     Interval,
     Params,
     VertexSet,
-    cells_holding,
+    WallTable,
     colex_sorted,
     is_gale,
     mask_of,
     shelling_walls,
-    simplex_walls,
 )
 from .hvector import HVector, new_face_counts
 from .lattice import FaceLattice
@@ -110,6 +111,13 @@ def simplicial_h(steps: Sequence, d: int) -> HVector:
     return new_face_counts((s.new_face for s in steps), d)
 
 
+@lru_cache(maxsize=None)
+def _simplex_walls(size: int) -> WallTable:
+    """Walls of a simplex on ``size`` vertices, by position: entry i is
+    (every position but i, (i,))."""
+    return tuple((tuple(t for t in range(size) if t != i), (i,)) for i in range(size))
+
+
 def shelling_restriction_faces(simplices: Sequence[VertexSet]) -> list[VertexSet]:
     """Restriction faces of an ordered pure simplicial complex.
 
@@ -124,11 +132,13 @@ def shelling_restriction_faces(simplices: Sequence[VertexSet]) -> list[VertexSet
     out: list[VertexSet] = []
     for idx, simplex in enumerate(simplices):
         placed = (1 << idx) - 1
-        smask = mask_of(simplex)
-        walls = simplex_walls(smask)
-        covered = shelling_walls(smask, walls, rows, placed)
+        vertices = sorted(simplex)
+        walls = _simplex_walls(len(vertices))
+        covered = shelling_walls(vertices, walls, rows, placed)
         if covered is None:
-            if not any(cells_holding(w, rows, placed) for w in walls):
+            if not any(
+                reduce(and_, (rows[vertices[t]] for t in wall), placed) for wall, _ in walls
+            ):
                 raise ValueError(
                     f"step {idx + 1}: {simplex} meets no earlier simplex in a wall"
                 )
@@ -136,7 +146,6 @@ def shelling_restriction_faces(simplices: Sequence[VertexSet]) -> list[VertexSet
                 f"step {idx + 1}: {simplex} meets an earlier simplex "
                 "outside every covered wall"
             )
-        vertices = sorted(simplex)
         out.append(tuple(vertices[i] for i in covered))
         for v in simplex:
             rows[v] |= 1 << idx

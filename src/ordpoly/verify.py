@@ -25,7 +25,7 @@ from .hvector import (
     shelling_contributions,
     toric_tables,
 )
-from .lattice import FaceLattice, build_face_lattice, euler_check, euler_witness
+from .lattice import FaceLattice, build_face_lattice, euler_witness
 from .multiplex import (
     multiplex_boundary_triangulation,
     multiplex_facet,
@@ -164,9 +164,10 @@ def _check_lattice_build(b: InstanceBundle) -> str:
 
 
 def _check_eulerian(b: InstanceBundle) -> str:
-    if euler_check(b.lattice):
+    witness = euler_witness(b.lattice)
+    if witness is None:
         return ""
-    bottom, top = euler_witness(b.lattice)
+    bottom, top = witness
     dims = [b.lattice.dims[r] for r in b.lattice.interval_rows(bottom, top)]
     even = sum(1 for e in dims if e % 2 == 0)
     return (

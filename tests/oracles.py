@@ -6,7 +6,7 @@ the library's run/shift machinery in the loop, so they can arbitrate.
 
 from itertools import combinations
 
-from ordpoly.combinat import _maximal, colex_key, face_of, mask_of, set_bits, simplex_walls
+from ordpoly.combinat import _maximal, colex_key, face_of, mask_of, set_bits
 from ordpoly.hvector import expand_x_minus_one
 from ordpoly.lattice import FaceCapError
 
@@ -170,6 +170,12 @@ def carrier_by_facets(bundle, sigma) -> tuple[int, ...]:
     if not holding:
         return tuple(sorted(set().union(*bundle.facets)))
     return tuple(sorted(set.intersection(*holding)))
+
+
+def simplex_walls(cell: int) -> list[int]:
+    """Walls of a simplex mask: the cell minus one vertex, by increasing
+    removed vertex."""
+    return [cell ^ (1 << v) for v in set_bits(cell)]
 
 
 def shelling_walls_by_scans(cell: int, walls, earlier) -> list[int] | None:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import shelling_walls_by_scans
+from oracles import shelling_walls_by_scans, simplex_walls
 from ordpoly.combinat import (
     Interval,
     Params,
@@ -23,8 +23,10 @@ from ordpoly.combinat import (
     run_containing,
     set_bits,
     shelling_walls,
-    simplex_walls,
 )
+from ordpoly.multiplex import multiplex_facets
+from ordpoly.shelling import _multiplex_walls
+from ordpoly.triangulation import _simplex_walls
 
 
 def all_even_run_subsets(window: Interval, size: int) -> list[tuple[int, ...]]:
@@ -220,9 +222,45 @@ class TestMasks:
             for v in set_bits(e):
                 rows[v] |= 1 << i
         placed = (1 << len(earlier)) - 1
-        assert shelling_walls(cell, walls, rows, placed) == shelling_walls_by_scans(
+        labels = face_of(cell)
+        table = [
+            (
+                tuple(t for t, v in enumerate(labels) if w >> v & 1),
+                tuple(t for t, v in enumerate(labels) if not w >> v & 1),
+            )
+            for w in walls
+        ]
+        assert shelling_walls(labels, table, rows, placed) == shelling_walls_by_scans(
             cell, walls, earlier
         )
+
+
+def splits(entry, size):
+    inside, outside = entry
+    return sorted(inside + outside) == list(range(size)) and not set(inside) & set(outside)
+
+
+class TestWallTables:
+    @pytest.mark.parametrize("e", range(1, 7))
+    def test_multiplex_table_rebuilds_its_facets(self, e):
+        sizes = [2] if e == 1 else range(e + 1, e + 9)
+        for size in sizes:
+            table = _multiplex_walls(e, size)
+            facets = [(0,), (1,)] if e == 1 else multiplex_facets(e, size - 1)
+            assert [inside for inside, _ in table] == facets
+            assert all(splits(entry, size) for entry in table)
+
+    @pytest.mark.parametrize("size", [1, 3, 4])
+    def test_edge_table_refuses_other_sizes(self, size):
+        with pytest.raises(ValueError, match="exactly 2 vertices"):
+            _multiplex_walls(1, size)
+
+    @pytest.mark.parametrize("size", range(1, 13))
+    def test_simplex_table_rebuilds_the_simplex_walls(self, size):
+        table = _simplex_walls(size)
+        assert [mask_of(inside) for inside, _ in table] == simplex_walls((1 << size) - 1)
+        assert [outside for _, outside in table] == [(i,) for i in range(size)]
+        assert all(splits(entry, size) for entry in table)
 
 
 @given(st.sets(st.integers(0, 255), max_size=12))

@@ -7,6 +7,7 @@ from ordpoly import shelling
 from ordpoly.combinat import Interval, Params, set_bits
 from ordpoly.lattice import build_face_lattice
 from ordpoly.shelling import (
+    StateBudgetError,
     boolean_interval_check,
     colex_shelling,
     decompose_facet,
@@ -194,9 +195,17 @@ class TestTopological:
             return verify_shelling_topological([s.facet for s in b.steps], b.p.d)
 
         for _ in range(2):
-            with pytest.raises(RuntimeError, match="state budget"):
+            with pytest.raises(StateBudgetError, match="state budget"):
                 check(large)
             assert check(small) == (True, None)
+
+    def test_state_budget_raises_its_own_type(self, bundles, monkeypatch):
+        monkeypatch.setattr(shelling, "_STATE_BUDGET", 3)
+        b = bundles(5, 6, 8)
+        with pytest.raises(StateBudgetError) as caught:
+            verify_shelling_topological(b.facets, b.p.d)
+        assert str(caught.value) == "topological shelling search exceeded its state budget"
+        assert isinstance(caught.value, RuntimeError)
 
     @pytest.mark.parametrize("budget, fits", [(2390, True), (2389, False)])
     def test_state_count_at_9_12_25(self, budget, fits, bundles, monkeypatch):
@@ -207,5 +216,5 @@ class TestTopological:
         if fits:
             assert verify_shelling_topological(b.facets, b.p.d) == (True, None)
         else:
-            with pytest.raises(RuntimeError, match="state budget"):
+            with pytest.raises(StateBudgetError, match="state budget"):
                 verify_shelling_topological(b.facets, b.p.d)

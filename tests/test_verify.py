@@ -144,6 +144,24 @@ class TestWitnesses:
             "of even dimension and 7 of odd"
         )
 
+    def test_eulerian_failure_scans_the_lattice_once(self, monkeypatch):
+        # euler_check scans through lattice.euler_witness, so patching both
+        # modules counts every scan whichever entry point runs it.
+        scans = []
+        scan = lattice.euler_witness
+
+        def counted(lat):
+            scans.append(lat)
+            return scan(lat)
+
+        for module in (lattice, verify):
+            monkeypatch.setattr(module, "euler_witness", counted)
+        for name, case in NOT_EULERIAN.items():
+            bad = SimpleNamespace(lattice=lattice.build_face_lattice(*case))
+            scans.clear()
+            assert verify._check_eulerian(bad).startswith("Moebius condition fails"), name
+            assert scans == [bad.lattice], name
+
     def test_facet_g_passes_a_cube_in_multiplex_order(self):
         # binary labels: every square is 0-1-3-2 in its vertex order, whose
         # edges 01, 02, 13 and 23 are those of the 2-multiplex
