@@ -12,9 +12,9 @@ n and the block decomposition breaks down, so the operations refuse.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
+from typing import NamedTuple
 
 from .combinat import (
     Interval,
@@ -28,8 +28,7 @@ from .ordinary import enumerate_facets
 from .triangulation import TriangulationStep, triangulation_shelling
 
 
-@dataclass(frozen=True)
-class BijectionRecord:
+class BijectionRecord(NamedTuple):
     """Block decomposition of a counted step simplex.
 
     The simplex splits into [b, n-k-1], [n-k+1, c], the paired middle Y,

@@ -14,7 +14,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
 
 from .bijection import bijection_records
 from .combinat import Params
@@ -251,7 +250,7 @@ def _run_verify(b: InstanceBundle, args) -> tuple[int, str]:
     code = 0 if all_ok else 1
     if args.format == "json":
         docs = [
-            _envelope(t, checks=[asdict(r) for r in results]) for t, results in runs
+            _envelope(t, checks=[r._asdict() for r in results]) for t, results in runs
         ]
         return code, _dump({"instances": docs} if args.grid else docs[0])
     if args.format == "csv":

@@ -12,7 +12,6 @@ holds vertex v), which reads walls from position tables cached per size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 VertexSet = tuple[int, ...]
@@ -37,8 +36,14 @@ class Interval(NamedTuple):
         return isinstance(v, int) and self.lo <= v <= self.hi
 
 
-@dataclass(frozen=True, order=True)
-class Params:
+# Params' fields; a NamedTuple body may not define the validating __new__.
+class _Triple(NamedTuple):
+    d: int
+    k: int
+    n: int
+
+
+class Params(_Triple):
     """Parameter triple (d, k, n) of an ordinary polytope P^{d,k,n}.
 
     Valid combinations:
@@ -51,12 +56,9 @@ class Params:
     Always n >= k >= d.
     """
 
-    d: int
-    k: int
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        d, k, n = self.d, self.k, self.n
+    def __new__(cls, d: int, k: int, n: int) -> Params:
         if not (isinstance(d, int) and isinstance(k, int) and isinstance(n, int)):
             raise ValueError("d, k, n must be integers")
         if not n >= k >= d:
@@ -69,6 +71,7 @@ class Params:
                 raise ValueError(
                     f"k > d requires odd d >= 5, got d={d}, k={k}"
                 )
+        return super().__new__(cls, d, k, n)
 
     @property
     def m(self) -> int:

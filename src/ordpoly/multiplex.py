@@ -8,7 +8,7 @@ order, which is why the boundary bookkeeping here is reused so heavily.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .combinat import VertexSet, retract
 
@@ -54,8 +54,7 @@ def multiplex_triangulation(d: int, n: int) -> list[VertexSet]:
     return [tuple(range(i, i + d + 1)) for i in range(n - d + 1)]
 
 
-@dataclass(frozen=True)
-class BoundarySimplex:
+class BoundarySimplex(NamedTuple):
     """One (d-1)-simplex of the induced boundary triangulation.
 
     ``tetra`` is the index i of the solid simplex T_i it came from,

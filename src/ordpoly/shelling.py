@@ -16,9 +16,8 @@ recursively).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .combinat import (
     Interval,
@@ -37,8 +36,7 @@ from .multiplex import multiplex_facets
 from .ordinary import enumerate_facets, lsh
 
 
-@dataclass(frozen=True)
-class ShellingStep:
+class ShellingStep(NamedTuple):
     """Step j of a shelling: facet F_j with its minimal new face G_j."""
 
     index: int
@@ -46,8 +44,7 @@ class ShellingStep:
     new_face: VertexSet
 
 
-@dataclass(frozen=True)
-class FaceDecomposition:
+class FaceDecomposition(NamedTuple):
     """Run decomposition of a facet driving the new-face rule.
 
     ``anchored`` collects the vertices glued to colex-earlier facets (the

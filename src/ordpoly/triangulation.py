@@ -13,11 +13,10 @@ principles and serves as the independent check on the U recursion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import combinations
 from operator import and_
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .combinat import (
     Interval,
@@ -34,8 +33,7 @@ from .lattice import FaceLattice
 from .shelling import colex_shelling
 
 
-@dataclass(frozen=True)
-class TriangulationStep:
+class TriangulationStep(NamedTuple):
     """Window ell of shelled facet j: simplex T with minimal new face U."""
 
     facet_index: int

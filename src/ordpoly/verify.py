@@ -9,9 +9,9 @@ window counting) and any disagreement is a failure, never a warning.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, zip_longest
+from typing import NamedTuple
 
 from .bijection import bijection_records, count_by_size, subset_to_facet
 from .combinat import Params, VertexSet, colex_key, face_of, set_bits
@@ -55,8 +55,7 @@ from .triangulation import (
 )
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     ok: bool
     detail: str = ""

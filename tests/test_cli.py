@@ -32,8 +32,9 @@ TABLE1_TEXT = """\
 """
 
 
-# (argv, exit code, SHA-256 of stdout): every verb in every format, plus
-# the comma digit form that n > 9 switches to.
+# (argv, exit code, SHA-256 of stdout): every verb in every format, the
+# comma digit form that n > 9 switches to, and the output of every call
+# the benchmark's `cli` workload makes.
 GOLDEN = [
     ("facets 5 6 8 --format text", 0, "018b7898110bfb6a3b5c7adcb6dbfa9a89382d4374b7444df7b0e10363e85515"),
     ("facets 5 6 8 --format json", 0, "a129032fc7d0829495c8f4692732aa94ef7160d19c6653b6a0c30a93f94a5627"),
@@ -58,6 +59,7 @@ GOLDEN = [
     ("verify 5 6 8 --format csv", 0, "5e7d70c1d34d1ed54380cff541bbaf96cc4f47d9aeb9a7cc693ff643773bca10"),
     ("shell 7 9 15", 0, "45e4348e8d90db5002a919d9f99f607e6b2ed729fb7fd181c4e8e123b9ab540e"),
     ("triangulate 7 9 15", 0, "6f8326bfc1d85db03ee10aad5d6f94468c510ad96216e3729bed2b6b35d827ee"),
+    ("hvector 7 9 20 --format json", 0, "15787e60ffbf98edce12dcb917ae3ed14d8ac565c6a3b07adc36023bb78e8aaf"),
 ]
 
 
@@ -358,3 +360,20 @@ def test_import_leaves_numpy_unloaded():
     probe = "import ordpoly.cli, sys; sys.exit('numpy' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": src}
     assert subprocess.run([sys.executable, "-c", probe], env=env).returncode == 0
+
+
+def test_import_skips_the_dataclasses_machinery():
+    # Compared against the bare interpreter, so whatever `site` loads
+    # does not count: only the modules `import ordpoly.cli` adds.
+    src = os.path.dirname(os.path.dirname(ordpoly.__file__))
+    probe = (
+        "import sys; before = set(sys.modules); import ordpoly.cli; "
+        "print(' '.join(sorted(set(sys.modules) - before)))"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    loaded = set(proc.stdout.split())
+    assert "ordpoly.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect"}, sorted(loaded)

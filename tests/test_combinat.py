@@ -1,5 +1,7 @@
-"""Ground-layer combinatorics: retraction, runs, pairing, Gale evenness."""
+"""Ground-layer combinatorics: retraction, runs, pairing, Gale evenness,
+and the contract of the record types."""
 
+import re
 from itertools import combinations
 
 import pytest
@@ -24,9 +26,11 @@ from ordpoly.combinat import (
     set_bits,
     shelling_walls,
 )
-from ordpoly.multiplex import multiplex_facets
-from ordpoly.shelling import _multiplex_walls
-from ordpoly.triangulation import _simplex_walls
+from ordpoly.bijection import BijectionRecord
+from ordpoly.multiplex import BoundarySimplex, multiplex_facets
+from ordpoly.shelling import FaceDecomposition, ShellingStep, _multiplex_walls
+from ordpoly.triangulation import TriangulationStep, _simplex_walls
+from ordpoly.verify import CheckResult
 
 
 def all_even_run_subsets(window: Interval, size: int) -> list[tuple[int, ...]]:
@@ -40,6 +44,20 @@ def all_even_run_subsets(window: Interval, size: int) -> list[tuple[int, ...]]:
     return colex_sorted(out)
 
 
+# Each refused triple with the exact message it raises.
+REFUSALS = [
+    ((5, 6, 5), "need n >= k >= d, got d=5, k=6, n=5"),
+    ((5, 4, 6), "need n >= k >= d, got d=5, k=4, n=6"),
+    ((4, 5, 6), "k > d requires odd d >= 5, got d=4, k=5"),
+    ((6, 7, 8), "k > d requires odd d >= 5, got d=6, k=7"),
+    ((1, 1, 3), "multiplex mode needs d >= 2, got d=1"),
+    ((3, 4, 5), "k > d requires odd d >= 5, got d=3, k=4"),
+    ((5.0, 6, 8), "d, k, n must be integers"),
+    ((5, "6", 8), "d, k, n must be integers"),
+    ((5, 6, None), "d, k, n must be integers"),
+]
+
+
 class TestParams:
     def test_accepts_classic_shapes(self):
         assert Params(5, 6, 8).m == 2
@@ -48,14 +66,65 @@ class TestParams:
         assert Params(5, 6, 6).is_cyclic
 
     @pytest.mark.parametrize(
-        "d,k,n", [(5, 6, 5), (5, 4, 6), (4, 5, 6), (6, 7, 8), (1, 1, 3), (3, 4, 5)]
+        "args,message", REFUSALS, ids=["-".join(map(repr, a)) for a, _ in REFUSALS]
     )
-    def test_rejects_bad_shapes(self, d, k, n):
-        with pytest.raises(ValueError):
-            Params(d, k, n)
+    def test_rejects_bad_shapes(self, args, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Params(*args)
 
     def test_str(self):
         assert str(Params(5, 6, 8)) == "P^{5,6,8}"
+
+    def test_repr_names_the_fields(self):
+        assert repr(Params(d=5, k=6, n=8)) == "Params(d=5, k=6, n=8)"
+
+    def test_keywords_are_validated_too(self):
+        with pytest.raises(ValueError, match="^d, k, n must be integers$"):
+            Params(d=5, k=6, n=8.0)
+
+    def test_orders_as_its_fields(self):
+        assert sorted([Params(7, 9, 15), Params(5, 6, 9), Params(5, 6, 8)]) == [
+            (5, 6, 8),
+            (5, 6, 9),
+            (7, 9, 15),
+        ]
+
+
+# Every record with its fields in order; one sample value per field.
+RECORDS = [
+    (Params, "d k n", (5, 6, 8)),
+    (ShellingStep, "index facet new_face", (1, (0, 1), ())),
+    (FaceDecomposition, "anchored evens tail", ((0,), (Interval(2, 3),), None)),
+    (TriangulationStep, "facet_index window_index simplex new_face", (1, 0, (0, 1), (1,))),
+    (BoundarySimplex, "simplex tetra facet", ((0, 1), 0, 0)),
+    (
+        BijectionRecord,
+        "simplex new_face b c e Y a1 x_values y_counts A i",
+        ((0, 1), (1,), 0, 1, 2, (), 1, (), (), (), 1),
+    ),
+    (CheckResult, "name ok detail", ("eulerian", True, "")),
+]
+
+
+@pytest.mark.parametrize("cls,fields,values", RECORDS, ids=[r[0].__name__ for r in RECORDS])
+class TestRecords:
+    def test_fields_in_order(self, cls, fields, values):
+        assert cls._fields == tuple(fields.split())
+
+    def test_fields_cannot_be_set(self, cls, fields, values):
+        record = cls(*values)
+        with pytest.raises(AttributeError):
+            setattr(record, cls._fields[0], values[0])
+
+    def test_equal_and_hashed_as_its_field_tuple(self, cls, fields, values):
+        record = cls(*values)
+        assert record == cls(**dict(zip(cls._fields, values))) == values
+        assert hash(record) == hash(values)
+
+
+def test_check_result_detail_defaults_to_empty():
+    assert CheckResult("eulerian", True).detail == ""
+    assert CheckResult._field_defaults == {"detail": ""}
 
 
 class TestRetract:
