@@ -47,7 +47,7 @@ def main() -> None:
     print()
 
     print("Certifying the order:")
-    ok, witness = verify_shelling_partition(b.lattice, b.steps)
+    ok, witness = verify_shelling_partition(b.lattice, b.step_intervals)
     print(f"  intervals [G_j, F_j] partition the proper faces: {ok}")
     assert ok, witness
 

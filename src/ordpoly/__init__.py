@@ -28,6 +28,7 @@ from .shelling import (
     colex_shelling,
     minimal_new_face_nonrecursive,
     minimal_new_face_recursive,
+    step_intervals,
     verify_shelling_partition,
     verify_shelling_topological,
 )
@@ -77,6 +78,7 @@ __all__ = [
     "shelling_contributions",
     "shelling_restriction_faces",
     "simplicial_h",
+    "step_intervals",
     "subset_to_facet",
     "triangulation_shelling",
     "verify_instance",

@@ -23,7 +23,7 @@ from functools import lru_cache
 from math import comb
 from typing import Iterable, Sequence
 
-from .combinat import Params, VertexSet
+from .combinat import Params, VertexSet, set_bits
 from .lattice import FaceLattice
 
 HVector = tuple[int, ...]
@@ -185,15 +185,16 @@ def h_prime_from_f(f: Sequence[int], d: int) -> HVector:
 
 
 def shelling_contributions(
-    p: Params, lattice: FaceLattice, steps, triangulation_steps
+    p: Params, lattice: FaceLattice, steps, triangulation_steps, intervals: Sequence[int]
 ) -> dict[int, HVector]:
     """Contribution a_j of each shelling step to h - h', in the h alignment.
 
     Computed two ways: (a) vertex-surplus counting over the step interval
-    [G_j, F_j], each e-face charging its surplus to x (x-1)^{d-1-e};
-    (b) counting the new-face sizes of the non-final triangulation
-    windows inside F_j.  The routes must agree entry by entry; any
-    mismatch raises.
+    [G_j, F_j], read from its row bitset in ``intervals`` (see
+    ``shelling.step_intervals``), each e-face charging its surplus to
+    x (x-1)^{d-1-e}; (b) counting the new-face sizes of the non-final
+    triangulation windows inside F_j, which reads no lattice.  The routes
+    must agree entry by entry; any mismatch raises.
     """
     d = p.d
     by_facet: dict[int, list] = {}
@@ -201,12 +202,13 @@ def shelling_contributions(
         by_facet.setdefault(t.facet_index, []).append(t)
 
     out: dict[int, HVector] = {}
-    for step in steps:
+    dims, masks = lattice.dims, lattice._masks
+    for step, interval in zip(steps, intervals, strict=True):
         surplus = [0] * d  # vertex surplus over a simplex, by face dimension
-        for r in lattice.interval_rows(step.new_face, step.facet):
-            e = lattice.dims[r]
+        for r in set_bits(interval):
+            e = dims[r]
             if 0 <= e <= d - 1:
-                surplus[e] += lattice._masks[r].bit_count() - (e + 1)
+                surplus[e] += masks[r].bit_count() - (e + 1)
         flag_route = expand_x_minus_one(
             ((c, 1, d - 1 - e) for e, c in enumerate(surplus) if c), d
         )

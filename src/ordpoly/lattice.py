@@ -123,23 +123,39 @@ class FaceLattice:
         # the position of each vertex it misses: the count of the face's
         # vertices below that vertex.  Once read, a face's cover list is
         # replaced by its class id, which its upper covers read.
+        #
+        # A face of s vertices with s lower covers, each in the class of
+        # the Boolean lattice on s-1 vertices, has the Boolean lattice on
+        # its own vertices as its down-set: its covers are all its
+        # (s-1)-subsets.  boolean[s] is that class, recorded by the first
+        # such face through the full key; later ones take it unkeyed.
         classes: dict[tuple[int, frozenset[tuple[int, int]]], int] = {}
         class_of: list[int] = []
         reps: list[int] = []
+        boolean: list[int] = []
         for row, mask in enumerate(masks):
             size = mask.bit_count()
-            key = []
-            for c in covers[mask]:
-                renumbered = (1 << size) - 1
-                missing = mask ^ c
-                while missing:
-                    low = missing & -missing
-                    renumbered ^= 1 << (mask & (low - 1)).bit_count()
-                    missing ^= low
-                key.append((renumbered, covers[c]))
-            cls = classes.setdefault((size, frozenset(key)), len(reps))
-            if cls == len(reps):
-                reps.append(row)
+            lower = covers[mask]
+            simplex = len(lower) == size <= len(boolean) and (
+                size == 0 or [covers[c] for c in lower].count(boolean[size - 1]) == size
+            )
+            if simplex and size < len(boolean):
+                cls = boolean[size]
+            else:
+                key = []
+                for c in lower:
+                    renumbered = (1 << size) - 1
+                    missing = mask ^ c
+                    while missing:
+                        low = missing & -missing
+                        renumbered ^= 1 << (mask & (low - 1)).bit_count()
+                        missing ^= low
+                    key.append((renumbered, covers[c]))
+                cls = classes.setdefault((size, frozenset(key)), len(reps))
+                if cls == len(reps):
+                    reps.append(row)
+                if simplex:
+                    boolean.append(cls)
             class_of.append(cls)
             covers[mask] = cls
         self._class_of = tuple(class_of)
@@ -216,10 +232,16 @@ class FaceLattice:
             outside |= self._vertex_rows[v]
         return self._all & ~outside
 
+    def interval(self, bottom: VertexSet, top: VertexSet) -> int:
+        """Bitset of the rows of all faces weakly between ``bottom`` and
+        ``top``; 0 when ``bottom`` is not inside ``top``.  Both ends must
+        be faces."""
+        above = self._above(self._masks[self.index(bottom)])
+        return above & self._below(self.index(top))
+
     def interval_rows(self, bottom: VertexSet, top: VertexSet) -> list[int]:
         """Rows of all faces weakly between ``bottom`` and ``top``, ascending."""
-        above = self._above(self._masks[self.index(bottom)])
-        return set_bits(above & self._below(self.index(top)))
+        return set_bits(self.interval(bottom, top))
 
     # -- derived vectors -------------------------------------------------
 

@@ -11,7 +11,8 @@ The verifiers at the bottom certify shellings from first principles:
 interval partition of the face lattice, Booleanness of each step
 interval, and the topological definition (each facet meets the earlier
 ones in an initial segment of a shelling of its own boundary, checked
-recursively).
+recursively).  The first two read the step intervals as row bitsets,
+computed once by ``step_intervals``.
 """
 
 from __future__ import annotations
@@ -174,26 +175,44 @@ def colex_shelling(p: Params) -> list[ShellingStep]:
 # -- verification ---------------------------------------------------------
 
 
-def verify_shelling_partition(
-    lattice: FaceLattice, steps: list[ShellingStep]
-) -> tuple[bool, VertexSet | None]:
-    """Every face except the top must lie in exactly one [G_j, F_j].
+def step_intervals(lattice: FaceLattice, steps: Sequence[ShellingStep]) -> list[int]:
+    """The rows of each step interval [G_j, F_j] as a bitset, in step
+    order: the one reading of the intervals that the partition, Boolean
+    and contribution certificates share."""
+    return [lattice.interval(step.new_face, step.facet) for step in steps]
 
-    The empty face belongs to step 1.  Returns (ok, witness).
+
+def verify_shelling_partition(
+    lattice: FaceLattice, intervals: Sequence[int]
+) -> tuple[bool, VertexSet | None]:
+    """Every face except the top must lie in exactly one step interval.
+
+    ``intervals`` are the row bitsets of ``step_intervals``; the empty
+    face belongs to step 1.  When the intervals cover every row but the
+    top and their sizes sum to the number of those rows, no row is
+    covered twice.  Otherwise the rows are counted to name the witness:
+    the first row covered a wrong number of times.  Returns (ok, witness).
     """
+    top = len(lattice) - 1  # the top lies in no step interval
+    union = total = 0
+    for bits in intervals:
+        union |= bits
+        total += bits.bit_count()
+    if union == lattice._all ^ 1 << top and total == top:
+        return True, None
     counts = [0] * len(lattice)
-    for step in steps:
-        for r in lattice.interval_rows(step.new_face, step.facet):
+    for bits in intervals:
+        for r in set_bits(bits):
             counts[r] += 1
-    top = len(counts) - 1  # the top lies in no step interval
     for row, got in enumerate(counts):
         if got != (0 if row == top else 1):
             return False, lattice.faces[row]
     return True, None
 
 
-def boolean_interval_check(lattice: FaceLattice, bottom: VertexSet, top: VertexSet) -> bool:
-    """Certify that the interval [bottom, top] is a Boolean lattice.
+def boolean_interval_check(lattice: FaceLattice, interval: int) -> bool:
+    """Certify that an interval, given as its row bitset (see
+    ``FaceLattice.interval``), is a Boolean lattice.
 
     Checks the element count 2^c, the atom count c, and that no two
     elements lie above the same set of atoms, so each subset of atoms is
@@ -201,19 +220,31 @@ def boolean_interval_check(lattice: FaceLattice, bottom: VertexSet, top: VertexS
     so those are the atoms whose vertices it holds.  An atom lies below a
     meet iff it lies below both sides, and face-lattice intervals are
     closed under intersection, so that bijection is an order isomorphism.
+    The atom sets are told apart by splitting the interval by the up-set
+    of each atom in turn: they are pairwise distinct iff that ends with
+    2^c nonempty cells.  An empty interval (a bottom outside the top) is
+    no lattice.
     """
-    rows = lattice.interval_rows(bottom, top)
-    if not rows:  # bottom is not inside top
+    if not interval:
         return False
-    # the interval's first row is bottom and its last is top
-    bottom_dim = lattice.dims[rows[0]]
-    c = lattice.dims[rows[-1]] - bottom_dim
-    if len(rows) != 2**c:
+    # the interval's lowest row is its bottom and its highest its top
+    dims, blocks, masks = lattice.dims, lattice._blocks, lattice._masks
+    bottom_dim = dims[(interval & -interval).bit_length() - 1]
+    c = dims[interval.bit_length() - 1] - bottom_dim
+    if interval.bit_count() != 1 << c:
         return False
-    atoms = [lattice._masks[r] for r in rows if lattice.dims[r] == bottom_dim + 1]
+    if c == 0:  # a single face; the top has no block above it
+        return True
+    # rows of dimension e are blocks[e+1]:blocks[e+2]
+    atom_block = (1 << blocks[bottom_dim + 3]) - (1 << blocks[bottom_dim + 2])
+    atoms = set_bits(interval & atom_block)
     if len(atoms) != c:
         return False
-    return len({frozenset(a for a in atoms if a & ~lattice._masks[r] == 0) for r in rows}) == 2**c
+    cells = [interval]
+    for atom in atoms:
+        up = lattice._above(masks[atom])
+        cells = [part for cell in cells for part in (cell & up, cell & ~up) if part]
+    return len(cells) == 1 << c
 
 
 # -- topological shelling (Definition-level certification) ----------------

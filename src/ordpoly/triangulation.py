@@ -30,7 +30,7 @@ from .combinat import (
 )
 from .hvector import HVector, new_face_counts
 from .lattice import FaceLattice
-from .shelling import colex_shelling
+from .shelling import ShellingStep, colex_shelling
 
 
 class TriangulationStep(NamedTuple):
@@ -68,18 +68,22 @@ def facet_windows(face: VertexSet, d: int) -> list[VertexSet]:
     return [face[ell : ell + d] for ell in range(len(face) - d + 1)]
 
 
-def triangulation_shelling(p: Params) -> list[TriangulationStep]:
+def triangulation_shelling(
+    p: Params, steps: Sequence[ShellingStep] | None = None
+) -> list[TriangulationStep]:
     """Steps (j, ell) in shelling order with their minimal new faces.
 
-    The last window of facet j gets U = G_j; walking left, each window
-    drops the maximum z of its right neighbor and picks up z-k and z-1.
-    Every non-final window must span exactly one period (max - min = k),
-    and no simplex may repeat across facets; both are asserted.
+    ``steps`` is the colex shelling of ``p``, computed here when not
+    given.  The last window of facet j gets U = G_j; walking left, each
+    window drops the maximum z of its right neighbor and picks up z-k and
+    z-1.  Every non-final window must span exactly one period
+    (max - min = k), and no simplex may repeat across facets; both are
+    asserted.
     """
     d, k = p.d, p.k
     out: list[TriangulationStep] = []
     seen: set[VertexSet] = set()
-    for step in colex_shelling(p):
+    for step in colex_shelling(p) if steps is None else steps:
         windows = facet_windows(step.facet, d)
         count = len(windows)
         new_faces: list[VertexSet] = [()] * count

@@ -14,7 +14,7 @@ from itertools import combinations, zip_longest
 from typing import NamedTuple
 
 from .bijection import bijection_records, count_by_size, subset_to_facet
-from .combinat import Params, VertexSet, colex_key, face_of, set_bits
+from .combinat import Params, VertexSet, colex_key, face_of, mask_of, set_bits
 from .hvector import (
     HVector,
     contribution_total,
@@ -43,6 +43,7 @@ from .shelling import (
     boolean_interval_check,
     colex_shelling,
     minimal_new_face_recursive,
+    step_intervals,
     verify_shelling_partition,
     verify_shelling_topological,
 )
@@ -95,8 +96,13 @@ class InstanceBundle:
         return colex_shelling(self.p)
 
     @cached_property
+    def step_intervals(self) -> list[int]:
+        """Row bitset of each step interval [G_j, F_j], in step order."""
+        return step_intervals(self.lattice, self.steps)
+
+    @cached_property
     def tri_steps(self):
-        return triangulation_shelling(self.p)
+        return triangulation_shelling(self.p, self.steps)
 
     @cached_property
     def toric(self) -> tuple[list[HVector], list[tuple[int, ...]]]:
@@ -113,7 +119,7 @@ class InstanceBundle:
     @cached_property
     def contributions(self):
         return shelling_contributions(
-            self.p, self.lattice, self.steps, self.tri_steps
+            self.p, self.lattice, self.steps, self.tri_steps, self.step_intervals
         )
 
 
@@ -167,7 +173,7 @@ def _check_eulerian(b: InstanceBundle) -> str:
     if witness is None:
         return ""
     bottom, top = witness
-    dims = [b.lattice.dims[r] for r in b.lattice.interval_rows(bottom, top)]
+    dims = [b.lattice.dims[r] for r in set_bits(b.lattice.interval(bottom, top))]
     even = sum(1 for e in dims if e % 2 == 0)
     return (
         f"Moebius condition fails: [{bottom}, {top}] holds {even} faces "
@@ -178,8 +184,14 @@ def _check_eulerian(b: InstanceBundle) -> str:
 def _check_facet_g(b: InstanceBundle) -> str:
     _, g_list = b.toric
     lattice = b.lattice
-    for f in b.facets:
-        got = g_list[lattice.index(f)]
+    # Facets in colex order sit in the facet block in that order; a list
+    # in another order is looked up face by face.
+    masks, first = lattice._masks, lattice._blocks[lattice.d]
+    for j, f in enumerate(b.facets):
+        row = first + j
+        if masks[row] != mask_of(f):
+            row = lattice.index(f)
+        got = g_list[row]
         want = multiplex_g(b.p.d - 1, len(f))
         if got != want:
             return f"facet {f}: g is {got}, multiplex form says {want}"
@@ -215,13 +227,13 @@ def _check_new_face_routes(b: InstanceBundle) -> str:
 
 
 def _check_shelling_partition(b: InstanceBundle) -> str:
-    ok, witness = verify_shelling_partition(b.lattice, b.steps)
+    ok, witness = verify_shelling_partition(b.lattice, b.step_intervals)
     return "" if ok else f"face {witness} is not covered exactly once"
 
 
 def _check_boolean_intervals(b: InstanceBundle) -> str:
-    for step in b.steps:
-        if not boolean_interval_check(b.lattice, step.new_face, step.facet):
+    for step, interval in zip(b.steps, b.step_intervals):
+        if not boolean_interval_check(b.lattice, interval):
             return f"interval [{step.new_face}, {step.facet}] is not Boolean"
     return ""
 

@@ -351,3 +351,56 @@ def closure_by_levels(
                     raise ValueError("face closure is not graded")
         frontier = next_frontier
     return covers, depth
+
+
+def classes_by_full_key(lattice) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The class id of every row and the first row of every class, with
+    every face keyed in full: its size and, per lower cover, the cover
+    renumbered into the face's vertex positions with the cover's class.
+
+    The lower covers are read off the lattice as the faces one dimension
+    down that lie inside the face; ids count classes in order of first
+    appearance.
+    """
+    masks, dims, blocks = lattice._masks, lattice.dims, lattice._blocks
+    classes: dict[tuple[int, frozenset[tuple[int, int]]], int] = {}
+    class_of: list[int] = []
+    reps: list[int] = []
+    for row, mask in enumerate(masks):
+        e = dims[row]
+        # rows of dimension e-1 are blocks[e]:blocks[e+1]
+        below = lattice._below(row) & ((1 << blocks[e + 1]) - (1 << blocks[e])) if e >= 0 else 0
+        positions = {v: i for i, v in enumerate(set_bits(mask))}
+        key = frozenset(
+            (sum(1 << positions[v] for v in set_bits(masks[c])), class_of[c])
+            for c in set_bits(below)
+        )
+        cls = classes.setdefault((mask.bit_count(), key), len(reps))
+        if cls == len(reps):
+            reps.append(row)
+        class_of.append(cls)
+    return tuple(class_of), tuple(reps)
+
+
+def interval_by_containment(lattice, bottom: int, top: int) -> int:
+    """The rows of the faces between the vertex bitmasks ``bottom`` and
+    ``top``, as a bitset, testing every row's face for containment."""
+    return mask_of(
+        r for r, m in enumerate(lattice._masks) if bottom & ~m == 0 and m & ~top == 0
+    )
+
+
+def partition_witness_by_counting(lattice, steps):
+    """The first face not covered exactly once by the step intervals
+    [G_j, F_j] (the top: not at all), or None, counting each row's
+    intervals by containment."""
+    counts = [0] * len(lattice)
+    counts[-1] = 1  # the top lies in no interval
+    for step in steps:
+        rows = interval_by_containment(lattice, mask_of(step.new_face), mask_of(step.facet))
+        for r in set_bits(rows):
+            counts[r] += 1
+    for row, got in enumerate(counts):
+        if got != 1:
+            return lattice.faces[row]
+    return None

@@ -162,7 +162,9 @@ class TestContributions:
 class TestStandalone:
     def test_shelling_contributions_builds_own_inputs(self):
         b = InstanceBundle(Params(5, 6, 8))
-        contribs = shelling_contributions(b.p, b.lattice, b.steps, b.tri_steps)
+        contribs = shelling_contributions(
+            b.p, b.lattice, b.steps, b.tri_steps, b.step_intervals
+        )
         assert contribution_total(contribs) == (0, 0, 2, 4, 2, 0)
 
     def test_toric_h_via_bundle_free_call(self, b568):

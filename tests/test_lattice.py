@@ -12,9 +12,11 @@ from oracles import (
     PRISMS_SHARING_AN_EDGE_AND_A_VERTEX,
     SAME_RENUMBERED_COVERS,
     carrier_by_facets,
+    classes_by_full_key,
     closure_by_levels,
     euler_by_pairs,
     euler_witness_by_containment,
+    interval_by_containment,
     order_by_containment,
 )
 from ordpoly.combinat import Params, colex_key, face_of, mask_of, set_bits
@@ -350,6 +352,36 @@ class TestClassKey:
         assert [len(lattice.faces[y]) for y in lattice._class_reps] == list(range(7))
 
 
+class TestClassPass:
+    """The class pass takes the class of a face whose down-set is Boolean
+    without keying it, once the first such face of its size has been
+    keyed; ``oracles.classes_by_full_key`` keys every face."""
+
+    @staticmethod
+    def assert_same_classes(lattice):
+        assert (lattice._class_of, lattice._class_reps) == classes_by_full_key(lattice)
+
+    def test_grid(self, bundles):
+        for p in grid_instances():
+            self.assert_same_classes(bundles(p.d, p.k, p.n).lattice)
+
+    @pytest.mark.parametrize("dkn", [(7, 9, 20), (7, 10, 30), (9, 12, 25)])
+    def test_larger_lattices(self, bundles, dkn):
+        self.assert_same_classes(bundles(*dkn).lattice)
+
+    @pytest.mark.parametrize("name", NOT_EULERIAN)
+    def test_off_eulerian(self, name):
+        self.assert_same_classes(build_face_lattice(*NOT_EULERIAN[name]))
+
+    def test_where_the_covers_alone_are_not_exact(self):
+        self.assert_same_classes(build_face_lattice(*SAME_RENUMBERED_COVERS))
+
+    @settings(max_examples=100, deadline=None)
+    @given(facet_lists())
+    def test_random_facet_lists(self, facets):
+        self.assert_same_classes(closure_lattice(facets))
+
+
 class TestDerivedOrder:
     """``_below`` and ``_above``, read off the vertex up-sets, against
     containment tested face by face."""
@@ -452,6 +484,31 @@ class TestMemory:
 
 
 class TestIntervalAndDownset:
+    @staticmethod
+    def assert_intervals(lattice):
+        # every comparable pair against a containment scan; an
+        # incomparable pair has no rows
+        masks = lattice._masks
+        for top in masks:
+            for bottom in masks:
+                got = lattice.interval(face_of(bottom), face_of(top))
+                if bottom & ~top:
+                    assert got == 0
+                else:
+                    assert got == interval_by_containment(lattice, bottom, top)
+
+    def test_every_pair_of_p568(self, b568):
+        self.assert_intervals(b568.lattice)
+
+    def test_every_pair_off_eulerian(self):
+        self.assert_intervals(build_face_lattice(*NOT_EULERIAN["edge_with_three_vertices"]))
+
+    def test_interval_refuses_a_non_face(self, b568):
+        with pytest.raises(ValueError, match="is not a face of this lattice"):
+            b568.lattice.interval((0, 8), b568.lattice.top())
+        with pytest.raises(ValueError, match="is not a face of this lattice"):
+            b568.lattice.interval((), (0, 4, 8))
+
     def test_boolean_interval_of_step_13(self, b568):
         lattice = b568.lattice
         rows = lattice.interval_rows((6, 7, 8), (0, 1, 2, 3, 6, 7, 8))

@@ -2,7 +2,12 @@
 
 import pytest
 
-from oracles import NOT_EULERIAN, antistar_new_faces, boolean_by_joins
+from oracles import (
+    NOT_EULERIAN,
+    antistar_new_faces,
+    boolean_by_joins,
+    partition_witness_by_counting,
+)
 from ordpoly import shelling
 from ordpoly.combinat import Interval, Params, set_bits
 from ordpoly.lattice import build_face_lattice
@@ -13,6 +18,7 @@ from ordpoly.shelling import (
     decompose_facet,
     minimal_new_face_nonrecursive,
     minimal_new_face_recursive,
+    step_intervals,
     verify_shelling_partition,
     verify_shelling_topological,
 )
@@ -119,8 +125,21 @@ class TestPartition:
     @pytest.mark.parametrize("dkn", [(5, 6, 8), (5, 6, 9), (5, 5, 9), (7, 8, 10)])
     def test_faces_partition_into_intervals(self, dkn, bundles):
         b = bundles(*dkn)
-        ok, witness = verify_shelling_partition(b.lattice, b.steps)
+        ok, witness = verify_shelling_partition(b.lattice, b.step_intervals)
         assert ok, witness
+
+    @pytest.mark.parametrize("dkn", [(5, 6, 8), (5, 5, 8)])
+    def test_a_dropped_or_repeated_step_names_the_counted_witness(self, dkn, bundles):
+        # Both faults fail the bitset test; the count behind it must name
+        # the first row covered a wrong number of times, as the oracle does.
+        b = bundles(*dkn)
+        steps = b.steps
+        for j in range(len(steps)):
+            for bad in (steps[:j] + steps[j + 1:], steps[:j + 1] + steps[j:]):
+                witness = partition_witness_by_counting(b.lattice, bad)
+                assert witness is not None
+                got = verify_shelling_partition(b.lattice, step_intervals(b.lattice, bad))
+                assert got == (False, witness), (j, len(bad))
 
 
 class TestBooleanIntervals:
@@ -136,14 +155,19 @@ class TestBooleanIntervals:
             for y, top in enumerate(lattice.faces):
                 for x in set_bits(lattice._below(y)):
                     bottom = lattice.faces[x]
-                    got = boolean_interval_check(lattice, bottom, top)
+                    got = boolean_interval_check(lattice, lattice.interval(bottom, top))
                     assert got == boolean_by_joins(lattice, bottom, top), (bottom, top)
                     verdicts.append(got)
         assert (len(verdicts), verdicts.count(False)) == (11_666, 572)
 
     def test_bottom_outside_the_top_is_no_interval(self, b568):
-        assert not boolean_interval_check(b568.lattice, (0, 1), (6, 7, 8))
-        assert boolean_interval_check(b568.lattice, (6, 7, 8), (6, 7, 8))
+        lattice = b568.lattice
+        assert lattice.interval((0, 1), (6, 7, 8)) == 0
+        assert not boolean_interval_check(lattice, lattice.interval((0, 1), (6, 7, 8)))
+        assert boolean_interval_check(lattice, lattice.interval((6, 7, 8), (6, 7, 8)))
+        # c = 0 at the top, which has no dimension block above it
+        top = lattice.top()
+        assert boolean_interval_check(lattice, lattice.interval(top, top))
 
     def test_counts_alone_do_not_pass_an_interval(self, b568):
         # P^{5,6,8} less one facet still closes to a graded lattice; there
@@ -155,7 +179,7 @@ class TestBooleanIntervals:
         assert len(rows) == 8
         assert [lattice.dims[r] for r in rows].count(lattice.dim(bottom) + 1) == 3
         assert not boolean_by_joins(lattice, bottom, top)
-        assert not boolean_interval_check(lattice, bottom, top)
+        assert not boolean_interval_check(lattice, lattice.interval(bottom, top))
 
 
 class TestTopological:

@@ -2,8 +2,10 @@
 
 from types import SimpleNamespace
 
+import pytest
+
 from oracles import NOT_EULERIAN
-from ordpoly import bijection, lattice, triangulation, verify
+from ordpoly import bijection, lattice, shelling, triangulation, verify
 from ordpoly.combinat import Params
 from ordpoly.hvector import toric_tables
 from ordpoly.verify import CHECK_NAMES, grid_instances, verify_instance
@@ -117,15 +119,69 @@ class TestVerifyInstance:
         assert all("exceeds the cap of 100 faces" in r.detail for r in failed)
         assert len(calls) == 1
 
+    def test_capped_lattice_fails_every_interval_reader_alike(self, monkeypatch):
+        # A cached property caches no raise: each read of the step
+        # intervals raises the lattice's kept FaceCapError again, and
+        # every check that reads them reports the build's own detail,
+        # on a first and on a second pass over the same bundle.
+        monkeypatch.setenv("ORDPOLY_MAX_FACES", "100")
+        b = verify.InstanceBundle(Params(7, 9, 12))
+        checks = [
+            verify._check_lattice_build,
+            verify._check_shelling_partition,
+            verify._check_boolean_intervals,
+            verify._check_contributions,
+        ]
+        details = []
+        for _ in range(2):
+            for check in checks:
+                with pytest.raises(lattice.FaceCapError) as caught:
+                    check(b)
+                details.append(f"{type(caught.value).__name__}: {caught.value}")
+        assert details == [
+            "FaceCapError: face closure exceeds the cap of 100 faces; "
+            "raise ORDPOLY_MAX_FACES to allow more"
+        ] * 8
+        failed = {r.name: r.detail for r in verify_instance(b.p) if not r.ok}
+        names = ("lattice_build", "shelling_partition", "boolean_intervals", "contributions")
+        assert [failed[name] for name in names] == details[:4]
+
+    def test_step_intervals_and_shelling_are_computed_once(self, monkeypatch):
+        # P^{5,6,9} lies below the bijection's stability threshold, so the
+        # bijection checks build no triangulation of their own; the
+        # bundle's shelling feeds the intervals and the triangulation.
+        reads = []
+        interval = lattice.FaceLattice.interval
+
+        def counted_interval(self, bottom, top):
+            reads.append((bottom, top))
+            return interval(self, bottom, top)
+
+        shellings = []
+        colex = shelling.colex_shelling
+
+        def counted_colex(p):
+            shellings.append(p)
+            return colex(p)
+
+        monkeypatch.setattr(lattice.FaceLattice, "interval", counted_interval)
+        for module in (shelling, triangulation, verify):
+            monkeypatch.setattr(module, "colex_shelling", counted_colex)
+        p = Params(5, 6, 9)
+        results = verify_instance(p)
+        assert all(r.ok for r in results)
+        assert shellings == [p]
+        assert reads == [(s.new_face, s.facet) for s in colex(p)]
+
     def test_triangulation_is_built_at_most_twice(self, monkeypatch):
         # once for the bundle, once for the bijection's increment steps,
         # which every size of both bijection checks reads from one cache
         calls = []
         build = triangulation.triangulation_shelling
 
-        def counted(p):
+        def counted(p, *args, **kwargs):
             calls.append(p)
-            return build(p)
+            return build(p, *args, **kwargs)
 
         for module in (triangulation, bijection, verify):
             monkeypatch.setattr(module, "triangulation_shelling", counted)
