@@ -200,7 +200,8 @@ def mask_of(face: Iterable[int]) -> int:
 
 
 def set_bits(bits: int) -> list[int]:
-    """Indices of the set bits of a nonnegative integer, ascending."""
+    """Indices of the set bits of a narrow nonnegative int, such as a vertex
+    mask, ascending; a lattice-wide row bitset goes through ``lattice.rows_of``."""
     out = []
     while bits:
         low = bits & -bits

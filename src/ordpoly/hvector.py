@@ -23,8 +23,8 @@ from functools import lru_cache
 from math import comb
 from typing import Iterable, Sequence
 
-from .combinat import Params, VertexSet, set_bits
-from .lattice import FaceLattice
+from .combinat import Params, VertexSet
+from .lattice import FaceLattice, rows_of
 
 HVector = tuple[int, ...]
 
@@ -205,7 +205,7 @@ def shelling_contributions(
     dims, masks = lattice.dims, lattice._masks
     for step, interval in zip(steps, intervals, strict=True):
         surplus = [0] * d  # vertex surplus over a simplex, by face dimension
-        for r in set_bits(interval):
+        for r in rows_of(interval):
             e = dims[r]
             if 0 <= e <= d - 1:
                 surplus[e] += masks[r].bit_count() - (e + 1)

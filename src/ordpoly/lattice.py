@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import os
 from bisect import bisect_left
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .combinat import VertexSet, _maximal, face_of, mask_of, set_bits
 
@@ -56,6 +56,18 @@ def _max_faces() -> int:
 class FaceCapError(RuntimeError):
     """The face closure passed ORDPOLY_MAX_FACES: a resource limit was hit,
     so nothing was evaluated; not a mathematical failure."""
+
+
+def rows_of(bits: int) -> list[int]:
+    """The rows of a nonnegative row bitset, ascending: one ``str.find`` scan
+    of its digits, not ``combinat.set_bits``'s full-width arithmetic per row."""
+    digits = format(bits, "b")[::-1]
+    rows: list[int] = []
+    row = digits.find("1")
+    while row >= 0:
+        rows.append(row)
+        row = digits.find("1", row + 1)
+    return rows
 
 
 class _FaceRows(Sequence[VertexSet]):
@@ -205,17 +217,14 @@ class FaceLattice:
                 return row
         raise ValueError(f"{face} is not a face of this lattice")
 
-    def dim(self, face: VertexSet) -> int:
-        return self.dims[self.index(face)]
-
     def top(self) -> VertexSet:
         return face_of(self._masks[-1])
 
     def _above(self, mask: int) -> int:
         """Bitset of the rows of all faces containing the vertex bitmask ``mask``.
 
-        Starts from every row, never from -1: a negative bitset would make
-        ``set_bits`` loop forever.
+        Starts from every row, never from -1: ``rows_of`` reads only
+        nonnegative bitsets.
         """
         if mask & ~self._masks[-1]:
             raise ValueError(f"{face_of(mask)} uses labels outside the vertex set")
@@ -239,10 +248,6 @@ class FaceLattice:
         above = self._above(self._masks[self.index(bottom)])
         return above & self._below(self.index(top))
 
-    def interval_rows(self, bottom: VertexSet, top: VertexSet) -> list[int]:
-        """Rows of all faces weakly between ``bottom`` and ``top``, ascending."""
-        return set_bits(self.interval(bottom, top))
-
     # -- derived vectors -------------------------------------------------
 
     def f_vector(self) -> tuple[int, ...]:
@@ -264,18 +269,10 @@ class FaceLattice:
         """Row of the smallest face containing the vertex bitmask ``mask``.
 
         The faces containing it are the common up-set of its vertices; the
-        lowest of those rows is their meet.
+        lowest of those rows is their meet, the top when no facet holds it.
         """
         above = self._above(mask)
         return (above & -above).bit_length() - 1
-
-    def carrier(self, sigma: Iterable[int]) -> VertexSet:
-        """Smallest face containing ``sigma``.
-
-        When no facet contains sigma, the carrier is the whole polytope (the
-        top face); the empty set's carrier is the empty face.
-        """
-        return face_of(self._masks[self._carrier_row(mask_of(sigma))])
 
     def carrier_dims(self, sigma_masks: Sequence[int]) -> list[int]:
         """Dimensions of the carriers of many nonempty vertex bitmasks."""

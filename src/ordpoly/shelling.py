@@ -32,7 +32,7 @@ from .combinat import (
     set_bits,
     shelling_walls,
 )
-from .lattice import FaceLattice
+from .lattice import FaceLattice, rows_of
 from .multiplex import multiplex_facets
 from .ordinary import enumerate_facets, lsh
 
@@ -202,7 +202,7 @@ def verify_shelling_partition(
         return True, None
     counts = [0] * len(lattice)
     for bits in intervals:
-        for r in set_bits(bits):
+        for r in rows_of(bits):
             counts[r] += 1
     for row, got in enumerate(counts):
         if got != (0 if row == top else 1):
@@ -220,31 +220,30 @@ def boolean_interval_check(lattice: FaceLattice, interval: int) -> bool:
     so those are the atoms whose vertices it holds.  An atom lies below a
     meet iff it lies below both sides, and face-lattice intervals are
     closed under intersection, so that bijection is an order isomorphism.
-    The atom sets are told apart by splitting the interval by the up-set
-    of each atom in turn: they are pairwise distinct iff that ends with
-    2^c nonempty cells.  An empty interval (a bottom outside the top) is
-    no lattice.
+    The rows are listed once and each gets its atom set as a c-bit int.
+    An empty interval (a bottom outside the top) is no lattice.
     """
     if not interval:
         return False
+    rows = rows_of(interval)
+    dims, masks = lattice.dims, lattice._masks
     # the interval's lowest row is its bottom and its highest its top
-    dims, blocks, masks = lattice.dims, lattice._blocks, lattice._masks
-    bottom_dim = dims[(interval & -interval).bit_length() - 1]
-    c = dims[interval.bit_length() - 1] - bottom_dim
-    if interval.bit_count() != 1 << c:
+    bottom_dim = dims[rows[0]]
+    c = dims[rows[-1]] - bottom_dim
+    if len(rows) != 1 << c:
         return False
-    if c == 0:  # a single face; the top has no block above it
-        return True
-    # rows of dimension e are blocks[e+1]:blocks[e+2]
-    atom_block = (1 << blocks[bottom_dim + 3]) - (1 << blocks[bottom_dim + 2])
-    atoms = set_bits(interval & atom_block)
+    atoms = [masks[r] for r in rows if dims[r] == bottom_dim + 1]
     if len(atoms) != c:
         return False
-    cells = [interval]
-    for atom in atoms:
-        up = lattice._above(masks[atom])
-        cells = [part for cell in cells for part in (cell & up, cell & ~up) if part]
-    return len(cells) == 1 << c
+    atom_bits = [(1 << i, atom) for i, atom in enumerate(atoms)]
+    atom_sets = set()
+    for r in rows:
+        face, atom_set = masks[r], 0
+        for bit, atom in atom_bits:
+            if atom & face == atom:
+                atom_set |= bit
+        atom_sets.add(atom_set)
+    return len(atom_sets) == len(rows)
 
 
 # -- topological shelling (Definition-level certification) ----------------

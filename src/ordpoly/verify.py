@@ -14,7 +14,7 @@ from itertools import combinations, zip_longest
 from typing import NamedTuple
 
 from .bijection import bijection_records, count_by_size, subset_to_facet
-from .combinat import Params, VertexSet, colex_key, face_of, mask_of, set_bits
+from .combinat import Params, VertexSet, colex_key, face_of, mask_of
 from .hvector import (
     HVector,
     contribution_total,
@@ -25,7 +25,7 @@ from .hvector import (
     shelling_contributions,
     toric_tables,
 )
-from .lattice import FaceLattice, build_face_lattice, euler_witness
+from .lattice import FaceLattice, build_face_lattice, euler_witness, rows_of
 from .multiplex import (
     multiplex_boundary_triangulation,
     multiplex_facet,
@@ -173,7 +173,7 @@ def _check_eulerian(b: InstanceBundle) -> str:
     if witness is None:
         return ""
     bottom, top = witness
-    dims = [b.lattice.dims[r] for r in set_bits(b.lattice.interval(bottom, top))]
+    dims = [b.lattice.dims[r] for r in rows_of(b.lattice.interval(bottom, top))]
     even = sum(1 for e in dims if e % 2 == 0)
     return (
         f"Moebius condition fails: [{bottom}, {top}] holds {even} faces "
@@ -186,9 +186,9 @@ def _check_facet_g(b: InstanceBundle) -> str:
     lattice = b.lattice
     # Facets in colex order sit in the facet block in that order; a list
     # in another order is looked up face by face.
-    masks, first = lattice._masks, lattice._blocks[lattice.d]
+    masks, blocks = lattice._masks, lattice._blocks
     for j, f in enumerate(b.facets):
-        row = first + j
+        row = blocks[lattice.d] + j
         if masks[row] != mask_of(f):
             row = lattice.index(f)
         got = g_list[row]
@@ -204,8 +204,9 @@ def _check_facet_g(b: InstanceBundle) -> str:
         if not 2 <= e <= b.p.d - 1:
             continue
         face = lattice.faces[y]
-        rows = set_bits(lattice._below(y))
-        covers = {lattice._masks[r] for r in rows if lattice.dims[r] == e - 1}
+        # rows of dimension e-1 are blocks[e]:blocks[e+1]
+        block = (1 << blocks[e + 1]) - (1 << blocks[e])
+        covers = {masks[r] for r in rows_of(lattice._below(y) & block)}
         walls = set(_walls(face, e))
         if covers != walls:
             wall = min(covers ^ walls)

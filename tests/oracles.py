@@ -8,7 +8,7 @@ from itertools import combinations
 
 from ordpoly.combinat import _maximal, colex_key, face_of, mask_of, set_bits
 from ordpoly.hvector import expand_x_minus_one
-from ordpoly.lattice import FaceCapError
+from ordpoly.lattice import FaceCapError, rows_of
 
 # Graded closures that are not Eulerian, as (facets, d): each breaks the
 # Moebius condition in a different place (see TestNotEulerian).
@@ -103,11 +103,11 @@ def antistar_new_faces(bundle) -> list[tuple[int, ...] | None]:
     masks = [sum(1 << v for v in f) for f in facets]
     out = []
     for j, f in enumerate(facets):
-        rows = lattice.interval_rows((), f)
+        rows = rows_of(lattice.interval((), f))
         fresh = []
         for r in rows:
             face = lattice.faces[r]
-            if lattice.dim(face) > lattice.d - 1:
+            if lattice.dims[r] > lattice.d - 1:
                 continue
             m = sum(1 << v for v in face)
             if not any(m & ~masks[i] == 0 for i in range(j)):
@@ -132,11 +132,11 @@ def boolean_by_joins(lattice, bottom, top) -> bool:
     interval for the faces above it, and asks that the joins be pairwise
     distinct.
     """
-    rows = lattice.interval_rows(bottom, top)
-    c = lattice.dim(top) - lattice.dim(bottom)
+    rows = rows_of(lattice.interval(bottom, top))
+    bottom_dim = lattice.dims[lattice.index(bottom)]
+    c = lattice.dims[lattice.index(top)] - bottom_dim
     if len(rows) != 2**c:
         return False
-    bottom_dim = lattice.dim(bottom)
     atom_rows = [r for r in rows if lattice.dims[r] == bottom_dim + 1]
     if len(atom_rows) != c:
         return False
@@ -170,6 +170,12 @@ def carrier_by_facets(bundle, sigma) -> tuple[int, ...]:
     if not holding:
         return tuple(sorted(set().union(*bundle.facets)))
     return tuple(sorted(set.intersection(*holding)))
+
+
+def lattice_carrier(lattice, sigma) -> tuple[int, ...]:
+    """The carrier of ``sigma`` as the lattice finds it: the face of the
+    lowest row holding all of sigma's vertices."""
+    return face_of(lattice._masks[lattice._carrier_row(mask_of(sigma))])
 
 
 def simplex_walls(cell: int) -> list[int]:

@@ -17,6 +17,7 @@ from oracles import (
     euler_by_pairs,
     euler_witness_by_containment,
     interval_by_containment,
+    lattice_carrier,
     order_by_containment,
 )
 from ordpoly.combinat import Params, colex_key, face_of, mask_of, set_bits
@@ -29,6 +30,7 @@ from ordpoly.lattice import (
     build_face_lattice,
     euler_check,
     euler_witness,
+    rows_of,
 )
 from ordpoly.ordinary import enumerate_facets
 from ordpoly.verify import grid_instances
@@ -81,7 +83,7 @@ class TestSimplex:
         facets = [tuple(sorted(set(range(6)) - {v})) for v in range(6)]
         lattice = build_face_lattice(facets, 5)
         assert len(lattice) == 64
-        assert lattice.dim(lattice.top()) == 5
+        assert lattice.dims[lattice.index(lattice.top())] == 5
         assert lattice.f_vector() == (6, 15, 20, 15, 6)
 
     def test_every_subset_is_a_face(self):
@@ -102,13 +104,13 @@ class TestFlagship:
 
     def test_carrier_example(self, b568):
         lattice = b568.lattice
-        assert lattice.carrier((0, 8)) == (0, 1, 2, 6, 7, 8)
+        assert lattice_carrier(lattice, (0, 8)) == (0, 1, 2, 6, 7, 8)
 
     def test_carrier_of_face_is_itself(self, b568):
         lattice = b568.lattice
         for face in lattice.faces:
-            if face and lattice.dim(face) >= 0:
-                assert lattice.carrier(face) == face
+            if face and lattice.dims[lattice.index(face)] >= 0:
+                assert lattice_carrier(lattice, face) == face
 
     def test_carrier_dims_vector(self, bundles):
         for b in (bundles(5, 6, 8), bundles(5, 5, 8)):
@@ -122,17 +124,17 @@ class TestFlagship:
                 }
             )
             expected = [carrier_by_facets(b, s) for s in sigmas]
-            assert [lattice.carrier(s) for s in sigmas] == expected
+            assert [lattice_carrier(lattice, s) for s in sigmas] == expected
             dims = lattice.carrier_dims([mask_of(s) for s in sigmas])
-            assert dims == [lattice.dim(c) for c in expected]
+            assert dims == [lattice.dims[lattice.index(c)] for c in expected]
 
     def test_carrier_in_no_facet_is_the_top(self, b568):
         lattice = b568.lattice
-        assert lattice.carrier((0, 4, 8)) == lattice.top()
+        assert lattice_carrier(lattice, (0, 4, 8)) == lattice.top()
         assert lattice.carrier_dims([mask_of((0, 4, 8))]) == [5]
 
     def test_carrier_of_empty_set(self, b568):
-        assert b568.lattice.carrier(()) == ()
+        assert lattice_carrier(b568.lattice, ()) == ()
 
     def test_carrier_dims_refuses_outside_labels(self, b568):
         with pytest.raises(ValueError, match="outside the vertex set"):
@@ -161,8 +163,9 @@ class TestNotEulerian:
         # every interval of length two is a diamond, so only a test over
         # all intervals sees that the Euler characteristic is 0, not 2
         for x, y in combinations(lattice.faces, 2):
-            if set(x) < set(y) and lattice.dim(y) - lattice.dim(x) == 2:
-                assert len(lattice.interval_rows(x, y)) == 4
+            rank = lattice.dims[lattice.index(y)] - lattice.dims[lattice.index(x)]
+            if set(x) < set(y) and rank == 2:
+                assert len(rows_of(lattice.interval(x, y))) == 4
         assert not euler_check(lattice)
 
     def test_octahedron_minus_a_triangle(self):
@@ -180,7 +183,7 @@ class TestNotEulerian:
         lattice = build_face_lattice(*NOT_EULERIAN["edge_with_three_vertices"])
         assert lattice.f_vector() == (7, 12, 7)
         for face in lattice.faces[:-1]:
-            rows = lattice.interval_rows(face, lattice.top())
+            rows = rows_of(lattice.interval(face, lattice.top()))
             even = sum(1 for r in rows if lattice.dims[r] % 2 == 0)
             assert 2 * even == len(rows)
         assert not euler_check(lattice)
@@ -295,7 +298,7 @@ class TestEulerByClasses:
         bottom, top = euler_witness(lattice)
         assert set(bottom) < set(top)
         inside = [f for f in lattice.faces if set(bottom) <= set(f) <= set(top)]
-        even = sum(1 for f in inside if lattice.dim(f) % 2 == 0)
+        even = sum(1 for f in inside if lattice.dims[lattice.index(f)] % 2 == 0)
         assert 2 * even != len(inside)
 
     def test_no_witness_on_a_polytope(self, b568):
@@ -511,7 +514,7 @@ class TestIntervalAndDownset:
 
     def test_boolean_interval_of_step_13(self, b568):
         lattice = b568.lattice
-        rows = lattice.interval_rows((6, 7, 8), (0, 1, 2, 3, 6, 7, 8))
+        rows = rows_of(lattice.interval((6, 7, 8), (0, 1, 2, 3, 6, 7, 8)))
         faces = {lattice.faces[r] for r in rows}
         assert faces == {
             (6, 7, 8),
@@ -519,6 +522,19 @@ class TestIntervalAndDownset:
             (0, 1, 2, 6, 7, 8),
             (0, 1, 2, 3, 6, 7, 8),
         }
+
+
+class TestRowsOf:
+    """``rows_of`` lists the rows of a row bitset as ``set_bits`` does."""
+
+    def test_no_row_and_the_top_row_alone(self, bundles):
+        top = len(bundles(7, 9, 20).lattice) - 1
+        assert rows_of(0) == set_bits(0) == []
+        assert rows_of(1 << top) == set_bits(1 << top) == [top]
+
+    def test_every_step_interval(self, bundles):
+        for bits in bundles(7, 9, 20).step_intervals:
+            assert rows_of(bits) == set_bits(bits)
 
 
 class TestValidation:

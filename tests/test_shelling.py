@@ -1,5 +1,8 @@
 """Colex shelling order, minimal new faces by three routes, topology checks."""
 
+import tracemalloc
+from itertools import combinations
+
 import pytest
 
 from oracles import (
@@ -10,7 +13,7 @@ from oracles import (
 )
 from ordpoly import shelling
 from ordpoly.combinat import Interval, Params, set_bits
-from ordpoly.lattice import build_face_lattice
+from ordpoly.lattice import build_face_lattice, rows_of
 from ordpoly.shelling import (
     StateBudgetError,
     boolean_interval_check,
@@ -175,11 +178,27 @@ class TestBooleanIntervals:
         # above the same atoms, so it is not Boolean.
         lattice = build_face_lattice([f for f in b568.facets if f != (0, 1, 3, 4, 6, 7)], 5)
         bottom, top = (3, 6), (0, 1, 2, 3, 6, 7, 8)
-        rows = lattice.interval_rows(bottom, top)
+        rows = rows_of(lattice.interval(bottom, top))
         assert len(rows) == 8
-        assert [lattice.dims[r] for r in rows].count(lattice.dim(bottom) + 1) == 3
+        assert [lattice.dims[r] for r in rows].count(lattice.dims[lattice.index(bottom)] + 1) == 3
         assert not boolean_by_joins(lattice, bottom, top)
         assert not boolean_interval_check(lattice, lattice.interval(bottom, top))
+
+    def test_peak_memory_is_linear_in_the_rows(self):
+        # [(), facet] in the boundary of the simplex on 14 vertices is a
+        # Boolean interval of rank 13: 8 192 of the 16 384 faces.  The
+        # check may hold a few small objects per row of the interval, but
+        # no int as wide as the lattice per subset of its atoms.
+        lattice = build_face_lattice(list(combinations(range(14), 13)), 13)
+        interval = lattice.interval((), tuple(range(13)))
+        assert interval.bit_count() == 8192
+        tracemalloc.start()
+        try:
+            assert boolean_interval_check(lattice, interval)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 256 * 8192
 
 
 class TestTopological:

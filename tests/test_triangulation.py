@@ -2,7 +2,7 @@
 
 import pytest
 
-from oracles import restriction_faces_by_scans, shallowness_by_all_faces
+from oracles import lattice_carrier, restriction_faces_by_scans, shallowness_by_all_faces
 from ordpoly.combinat import Params
 from ordpoly.triangulation import (
     boundary_triangulation,
@@ -195,7 +195,8 @@ class TestShallowOracle:
         simplices = [s.simplex for s in b568.tri_steps] + [tuple(range(9))]
         ok, witness = self.assert_same_verdict(simplices, b568.lattice)
         assert (ok, witness) == (False, (0, 4, 8))
-        assert b568.lattice.dim(b568.lattice.carrier(witness)) == 5
+        lattice = b568.lattice
+        assert lattice.dims[lattice.index(lattice_carrier(lattice, witness))] == 5
 
     def test_label_outside_the_lattice(self, b568):
         with pytest.raises(ValueError, match="outside the vertex set"):
