@@ -25,6 +25,7 @@ from .combinat import (
     run_containing,
 )
 from .ordinary import enumerate_facets
+from .shelling import ShellingStep, minimal_new_face_nonrecursive
 from .triangulation import TriangulationStep, triangulation_shelling
 
 
@@ -187,16 +188,18 @@ def subset_to_facet(a_set: VertexSet, p: Params, i: int) -> VertexSet:
 def increment_steps(p: Params) -> tuple[TriangulationStep, ...]:
     """Steps whose shelled facet has maximum n-1: the h-growth witnesses.
 
-    Built once per instance: every size i of ``count_by_size`` and
-    ``bijection_records`` reads the same steps.
+    Only those facets get a shelling step, with its index in the colex
+    order and its nonrecursive new face, and only their windows are
+    triangulated.  Built once per instance: every size i of
+    ``count_by_size`` and ``bijection_records`` reads the same steps.
     """
     _require_stable(p)
-    facets = enumerate_facets(p)
-    return tuple(
-        s
-        for s in triangulation_shelling(p)
-        if facets[s.facet_index - 1][-1] == p.n - 1
-    )
+    steps = [
+        ShellingStep(j, f, minimal_new_face_nonrecursive(f, p))
+        for j, f in enumerate(enumerate_facets(p), 1)
+        if f[-1] == p.n - 1
+    ]
+    return tuple(triangulation_shelling(p, steps))
 
 
 def count_by_size(p: Params, i: int) -> int:

@@ -35,15 +35,21 @@ def _generator_windows(p: Params):
     The window origin i ranges over [-k, n]: for i < -k the left block and
     the paired part clamp onto {0} while the right block covers at most
     [0, d-3], so the retraction has fewer than d elements; for i > n the
-    whole set clamps onto {n}.  Origins in between are exhaustive.
+    whole set clamps onto {n}.  Origins in between are exhaustive.  The
+    generators at origin i are those at origin 0 shifted by i, so each r
+    lists its paired parts once.
     """
     d, k, n = p.d, p.k, p.n
     for r in range(1, p.m + 1):
-        paired_size = d - 2 * r - 1
+        # left block, paired part and right block lie in this order
+        left, right = tuple(range(2 * r)), tuple(range(k, k + 2 * r))
+        shapes = [
+            left + y + right
+            for y in paired_subsets(Interval(2 * r + 1, k - 2), d - 2 * r - 1)
+        ]
         for i in range(-k, n + 1):
-            blocks = list(range(i, i + 2 * r)) + list(range(i + k, i + k + 2 * r))
-            for y in paired_subsets(Interval(i + 2 * r + 1, i + k - 2), paired_size):
-                yield tuple(sorted(blocks + list(y)))
+            for gen in shapes:
+                yield tuple([x + i for x in gen])
 
 
 @lru_cache(maxsize=None)

@@ -48,18 +48,19 @@ def boundary_triangulation(p: Params) -> list[VertexSet]:
     A d-subset of the window [i, i+k] joins the triangulation when it is
     Gale in the window and contains 0, or n, or both window ends.  The
     window qualification is per window: the same set may qualify in one
-    window and not another.
+    window and not another.  Gale evenness reads only positions inside
+    the window, so the Gale subsets of [0, k] are listed once and shifted
+    by i into each window.
     """
     d, k, n = p.d, p.k, p.n
+    shape = Interval(0, k)
+    gale = [sub for sub in combinations(shape.members(), d) if is_gale(sub, shape)]
     out: set[VertexSet] = set()
     for i in range(n - k + 1):
-        window = Interval(i, i + k)
-        for sub in combinations(window.members(), d):
-            picked = set(sub)
-            if not (0 in picked or n in picked or {i, i + k} <= picked):
-                continue
-            if is_gale(sub, window):
-                out.add(sub)
+        for sub in gale:
+            simplex = tuple([v + i for v in sub])
+            if simplex[0] == 0 or simplex[-1] == n or (sub[0] == 0 and sub[-1] == k):
+                out.add(simplex)
     return colex_sorted(out)
 
 

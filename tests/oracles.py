@@ -6,7 +6,16 @@ the library's run/shift machinery in the loop, so they can arbitrate.
 
 from itertools import combinations
 
-from ordpoly.combinat import _maximal, colex_key, face_of, mask_of, set_bits
+from ordpoly.combinat import (
+    Interval,
+    _maximal,
+    colex_key,
+    colex_sorted,
+    face_of,
+    is_gale,
+    mask_of,
+    set_bits,
+)
 from ordpoly.hvector import expand_x_minus_one
 from ordpoly.lattice import FaceCapError, rows_of
 
@@ -176,6 +185,23 @@ def lattice_carrier(lattice, sigma) -> tuple[int, ...]:
     """The carrier of ``sigma`` as the lattice finds it: the face of the
     lowest row holding all of sigma's vertices."""
     return face_of(lattice._masks[lattice._carrier_row(mask_of(sigma))])
+
+
+def boundary_by_windows(p):
+    """The shallow triangulation window by window: every d-subset of each
+    window [i, i+k] that contains 0, or n, or both window ends and is
+    Gale in that window, colex-sorted."""
+    d, k, n = p.d, p.k, p.n
+    out = set()
+    for i in range(n - k + 1):
+        window = Interval(i, i + k)
+        for sub in combinations(window.members(), d):
+            picked = set(sub)
+            if not (0 in picked or n in picked or {i, i + k} <= picked):
+                continue
+            if is_gale(sub, window):
+                out.add(sub)
+    return colex_sorted(out)
 
 
 def simplex_walls(cell: int) -> list[int]:

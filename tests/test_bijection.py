@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ordpoly import bijection
 from ordpoly.bijection import (
     bijection_records,
     count_by_size,
@@ -17,6 +18,11 @@ from ordpoly.bijection import (
 )
 from ordpoly.combinat import Params
 from ordpoly.hvector import h_closed_form
+from ordpoly.ordinary import enumerate_facets
+from ordpoly.triangulation import triangulation_shelling
+from ordpoly.verify import grid_instances
+
+STABLE = [p for p in grid_instances() if p.n >= p.d + p.k - 1]
 
 TABLE3 = [
     ((4, 5, 7, 8, 10, 11, 13), (5, 11, 13), 4, 8, 13, (10, 11), 2, (9, 12), (0, 1), (2, 4)),
@@ -74,6 +80,37 @@ class TestCounts:
         for s in steps:
             facet = b7915.facets[s.facet_index - 1]
             assert facet[-1] == b7915.p.n - 1
+
+    def test_increment_steps_triangulate_only_the_counted_facets(self, monkeypatch):
+        p = Params(7, 9, 15)
+        given_steps = []
+        build = bijection.triangulation_shelling
+
+        def recorded(q, steps=None):
+            given_steps.append(steps)
+            return build(q, steps)
+
+        monkeypatch.setattr(bijection, "triangulation_shelling", recorded)
+        increment_steps.cache_clear()
+        try:
+            increment_steps(p)
+        finally:
+            increment_steps.cache_clear()
+        assert len(given_steps) == 1 and given_steps[0] is not None
+        assert given_steps[0]
+        assert all(s.facet[-1] == p.n - 1 for s in given_steps[0])
+
+    @pytest.mark.parametrize(
+        "p", [*STABLE, Params(9, 11, 40), Params(5, 6, 120)], ids=str
+    )
+    def test_increment_steps_equal_the_filtered_full_triangulation(self, p):
+        facets = enumerate_facets(p)
+        expected = tuple(
+            s
+            for s in triangulation_shelling(p)
+            if facets[s.facet_index - 1][-1] == p.n - 1
+        )
+        assert increment_steps(p) == expected
 
 
 class TestRoundTrip:

@@ -2,7 +2,12 @@
 
 import pytest
 
-from oracles import lattice_carrier, restriction_faces_by_scans, shallowness_by_all_faces
+from oracles import (
+    boundary_by_windows,
+    lattice_carrier,
+    restriction_faces_by_scans,
+    shallowness_by_all_faces,
+)
 from ordpoly.combinat import Params
 from ordpoly.triangulation import (
     boundary_triangulation,
@@ -64,6 +69,14 @@ class TestCover:
     def test_steps_cover_the_boundary_triangulation(self, dkn, bundles):
         b = bundles(*dkn)
         assert {s.simplex for s in b.tri_steps} == set(boundary_triangulation(b.p))
+
+    @pytest.mark.parametrize(
+        "p",
+        [*grid_instances(), Params(9, 11, 40), Params(5, 6, 120), Params(7, 8, 200)],
+        ids=str,
+    )
+    def test_shifted_window_table_equals_the_per_window_test(self, p):
+        assert boundary_triangulation(p) == boundary_by_windows(p)
 
     def test_cyclic_triangulation_is_the_facet_list(self, b566):
         assert set(boundary_triangulation(b566.p)) == set(b566.facets)
