@@ -101,8 +101,12 @@ class FaceLattice:
     vertex up-sets.  ``faces`` reads the rows as vertex tuples.  The
     constructor takes the masks sorted by mask within each dimension
     block, the block bounds (the rows of dimension e are
-    ``blocks[e+1]:blocks[e+2]``) and a dict mapping every mask to the
-    masks of its lower covers, which it consumes; the lattice is built and
+    ``blocks[e+1]:blocks[e+2]``), a dict ``faces`` whose keys are the
+    masks, and a dict ``wide`` mapping a mask to those of its lower covers
+    that miss two or more of its vertices.  Every other lower cover of a
+    face G is some G - {v} among the keys of ``faces``, and every such key
+    is one.  The constructor overwrites the values of ``faces`` with class
+    ids, empties both dicts and keeps neither; the lattice is built and
     validated by ``build_face_lattice``.
     """
 
@@ -116,7 +120,8 @@ class FaceLattice:
         masks: Sequence[int],
         blocks: Sequence[int],
         d: int,
-        covers: dict[int, list[int]],
+        faces: dict[int, int],
+        wide: dict[int, list[int]],
     ):
         self._masks = masks = tuple(masks)
         self._blocks = tuple(blocks)
@@ -133,27 +138,41 @@ class FaceLattice:
         # keys rebuild equal renumbered down-sets, and equal down-sets give
         # equal keys: the key is exact.  A cover is renumbered by clearing
         # the position of each vertex it misses: the count of the face's
-        # vertices below that vertex.  Once read, a face's cover list is
+        # vertices below that vertex.  A face's value in ``faces`` is
         # replaced by its class id, which its upper covers read.
         #
         # A face of s vertices with s lower covers, each in the class of
         # the Boolean lattice on s-1 vertices, has the Boolean lattice on
         # its own vertices as its down-set: its covers are all its
         # (s-1)-subsets.  boolean[s] is that class, recorded by the first
-        # such face through the full key; later ones take it unkeyed.
+        # such face through the full key; later ones take it unkeyed.  A
+        # cover in that class has s-1 vertices, so such a face has no wide
+        # cover, and its one-vertex deletions are read until one is not a
+        # face of that class.
         classes: dict[tuple[int, frozenset[tuple[int, int]]], int] = {}
         class_of: list[int] = []
         reps: list[int] = []
         boolean: list[int] = []
         for row, mask in enumerate(masks):
             size = mask.bit_count()
-            lower = covers[mask]
-            simplex = len(lower) == size <= len(boolean) and (
-                size == 0 or [covers[c] for c in lower].count(boolean[size - 1]) == size
-            )
-            if simplex and size < len(boolean):
-                cls = boolean[size]
-            else:
+            cls = None
+            if 0 < size < len(boolean) and mask not in wide:
+                below, rest = boolean[size - 1], mask
+                while rest:
+                    low = rest & -rest
+                    if faces.get(mask ^ low) != below:
+                        break
+                    rest ^= low
+                else:
+                    cls = boolean[size]
+            if cls is None:
+                lower = wide.pop(mask, [])
+                rest = mask
+                while rest:
+                    low = rest & -rest
+                    if mask ^ low in faces:
+                        lower.append(mask ^ low)
+                    rest ^= low
                 key = []
                 for c in lower:
                     renumbered = (1 << size) - 1
@@ -162,14 +181,17 @@ class FaceLattice:
                         low = missing & -missing
                         renumbered ^= 1 << (mask & (low - 1)).bit_count()
                         missing ^= low
-                    key.append((renumbered, covers[c]))
+                    key.append((renumbered, faces[c]))
                 cls = classes.setdefault((size, frozenset(key)), len(reps))
                 if cls == len(reps):
                     reps.append(row)
-                if simplex:
+                if len(lower) == size == len(boolean) and (
+                    size == 0 or [faces[c] for c in lower].count(boolean[size - 1]) == size
+                ):
                     boolean.append(cls)
             class_of.append(cls)
-            covers[mask] = cls
+            faces[mask] = cls
+        faces.clear()
         self._class_of = tuple(class_of)
         # The first row of each class, ascending.
         self._class_reps = tuple(reps)
@@ -281,9 +303,9 @@ class FaceLattice:
 
 def _closure_masks(
     facet_masks: list[int], top_mask: int, cap: int
-) -> tuple[dict[int, list[int]], dict[int, int]]:
-    """Every face of the closure, mapped to the masks of its lower covers
-    and to its depth below the top.
+) -> tuple[dict[int, int], dict[int, list[int]]]:
+    """Every face of the closure, mapped to its height above the empty
+    face, and the lower covers that miss two or more of a face's vertices.
 
     The walk goes up from the empty face over facet bitsets.  A face G
     carries Phi(G), the bitset of the facets holding it.  For a vertex v
@@ -302,13 +324,19 @@ def _closure_masks(
     one level above its face, which is checked on every cover, so the
     walk refuses exactly the ungraded closures.  The top is not counted
     against the cap.
+
+    Only the lower covers that miss two or more vertices of their face
+    are recorded, in ``wide`` under that face.  A face c - {v} of the
+    closure is always a lower cover of c, as no set lies strictly between
+    them, so the covers that miss one vertex are found again by membership
+    in ``height``.
     """
     frow = dict.fromkeys(set_bits(top_mask), 0)
     for i, f in enumerate(facet_masks):
         for v in set_bits(f):
             frow[v] |= 1 << i
-    lower: dict[int, list[int]] = {0: []}
     height = {0: 0}
+    wide: dict[int, list[int]] = {}
     # Each entry holds a face, its Phi and its parent's groups; siblings
     # share them, so at most one set of groups per level of the current
     # path is alive.
@@ -323,24 +351,22 @@ def _closure_masks(
         level = height[face] + 1
         shared = groups.items()
         for key in _maximal(groups):
-            cover = face | groups[key]
-            if cover not in height:
+            added = groups[key]
+            cover = face | added
+            reached = height.get(cover)
+            if reached is None:
                 height[cover] = level
-                lower[cover] = [face]
                 stack.append((cover, key, shared))
                 if len(height) > cap + 1:
                     raise FaceCapError(
                         f"face closure exceeds the cap of {cap} faces; "
                         "raise ORDPOLY_MAX_FACES to allow more"
                     )
-            elif height[cover] == level:
-                lower[cover].append(face)
-            else:
+            elif reached != level:
                 raise ValueError("face closure is not graded")
-    rank = height[top_mask]
-    for face, h in height.items():
-        height[face] = rank - h
-    return lower, height
+            if added & (added - 1):
+                wide.setdefault(cover, []).append(face)
+    return height, wide
 
 
 def build_face_lattice(facets: Sequence[VertexSet], d: int) -> FaceLattice:
@@ -363,33 +389,33 @@ def build_face_lattice(facets: Sequence[VertexSet], d: int) -> FaceLattice:
     if top_mask in facet_masks:
         raise ValueError("a facet equals the whole vertex set")
 
-    covers, depth = _closure_masks(facet_masks, top_mask, _max_faces())
-    rank = depth[0]  # the empty face is the deepest
+    height, wide = _closure_masks(facet_masks, top_mask, _max_faces())
+    rank = height[top_mask]
     if rank != d + 1:
         raise ValueError(
             f"top face has rank {rank}, expected {d + 1}: "
             "facet list does not describe a d-polytope"
         )
     for f in facet_masks:
-        if depth[f] != 1:
-            raise ValueError(f"facet {face_of(f)} has dimension {d - depth[f]} != {d - 1}")
+        if height[f] != d:
+            raise ValueError(f"facet {face_of(f)} has dimension {height[f] - 1} != {d - 1}")
 
     # Rows in (dimension, colex) order: each face goes to the block of its
-    # dimension, and numeric order of masks within a block is colex order.
-    by_dim: list[list[int]] = [[] for _ in range(rank + 1)]
-    for m, k in depth.items():
-        by_dim[rank - k].append(m)
-    del depth
-    if sorted(by_dim[1]) != [1 << v for v in vertices]:
+    # dimension, its height less one, and numeric order of masks within a
+    # block is colex order.
+    by_height: list[list[int]] = [[] for _ in range(rank + 1)]
+    for m, h in height.items():
+        by_height[h].append(m)
+    if sorted(by_height[1]) != [1 << v for v in vertices]:
         raise ValueError("atoms of the closure are not the vertex singletons")
     masks: list[int] = []
     blocks = [0]
-    for block in by_dim:
+    for block in by_height:
         block.sort()
         masks += block
         blocks.append(len(masks))
-    del by_dim
-    return FaceLattice(masks, blocks, d, covers)
+    del by_height
+    return FaceLattice(masks, blocks, d, height, wide)
 
 
 def euler_witness(lattice: FaceLattice) -> tuple[VertexSet, VertexSet] | None:

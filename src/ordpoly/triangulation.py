@@ -13,6 +13,7 @@ principles and serves as the independent check on the U recursion.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import lru_cache, reduce
 from itertools import combinations
 from operator import and_
@@ -24,6 +25,7 @@ from .combinat import (
     VertexSet,
     WallTable,
     colex_sorted,
+    face_of,
     is_gale,
     mask_of,
     shelling_walls,
@@ -162,6 +164,8 @@ def shallowness_check(
 
     Only the faces with 2 dim sigma < d are listed: a carrier is a face of
     the polytope, of dimension at most d, so a larger face cannot fail.
+    Nor can a face sigma of the polytope, which is its own carrier: those
+    found by bisection in the dimension block |sigma|-1 get no carrier.
     Returns (True, None) or (False, the first failing face in sorted order).
     """
     largest = (lattice.d + 1) // 2  # the largest size with 2 (size - 1) < d
@@ -169,9 +173,17 @@ def shallowness_check(
     for simplex in simplices:
         for size in range(1, min(len(simplex), largest) + 1):
             faces.update(combinations(simplex, size))
-    ordered = sorted(faces)
-    carrier_dims = lattice.carrier_dims([mask_of(f) for f in ordered])
-    for face, cdim in zip(ordered, carrier_dims):
-        if cdim > 2 * (len(face) - 1):
-            return False, face
-    return True, None
+    masks, blocks = lattice._masks, lattice._blocks
+    rest = []
+    for face in faces:
+        mask = mask_of(face)
+        lo, hi = blocks[len(face)], blocks[len(face) + 1]  # dimension |face|-1
+        row = bisect_left(masks, mask, lo, hi)
+        if row == hi or masks[row] != mask:
+            rest.append(mask)
+    failing = [
+        face_of(sigma)
+        for sigma, cdim in zip(rest, lattice.carrier_dims(rest))
+        if cdim > 2 * (sigma.bit_count() - 1)
+    ]
+    return (False, min(failing)) if failing else (True, None)

@@ -385,6 +385,22 @@ def closure_by_levels(
     return covers, depth
 
 
+def walk_covers_and_depths(
+    height: dict[int, int], wide: dict[int, list[int]]
+) -> tuple[dict[int, list[int]], dict[int, int]]:
+    """The lower covers and the depth below the top of every face, read
+    back from the heights and wide covers that ``lattice._closure_masks``
+    returns: a face's lower covers are its wide ones and every face of the
+    closure that misses exactly one of its vertices."""
+    rank = max(height.values())
+    covers = {
+        face: [face ^ (1 << v) for v in set_bits(face) if face ^ (1 << v) in height]
+        + wide.get(face, [])
+        for face in height
+    }
+    return covers, {face: rank - h for face, h in height.items()}
+
+
 def classes_by_full_key(lattice) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The class id of every row and the first row of every class, with
     every face keyed in full: its size and, per lower cover, the cover

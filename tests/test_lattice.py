@@ -1,6 +1,7 @@
 """Face lattice construction: closure, grading, Euler relation, carriers."""
 
 import sys
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -19,6 +20,7 @@ from oracles import (
     interval_by_containment,
     lattice_carrier,
     order_by_containment,
+    walk_covers_and_depths,
 )
 from ordpoly.combinat import Params, colex_key, face_of, mask_of, set_bits
 from ordpoly.hvector import toric_tables
@@ -59,12 +61,12 @@ def facet_lists(draw):
 
 def closure_lattice(facets):
     """The lattice of a drawn facet list, with d read off the closure as
-    the depth of the empty face below the top, less one; draws whose
+    the height of the top above the empty face, less one; draws whose
     closure is refused are discarded."""
     top = mask_of(set().union(*facets))
     try:
-        _, depth = _closure_masks(sorted(map(mask_of, facets)), top, 256)
-        return build_face_lattice(facets, depth[0] - 1)
+        height, _ = _closure_masks(sorted(map(mask_of, facets)), top, 256)
+        return build_face_lattice(facets, height[top] - 1)
     except ValueError:
         assume(False)
 
@@ -209,7 +211,9 @@ class TestClosureWalk:
     """``_closure_masks`` walks up from the empty face, depth-first, over
     facet bitsets grouped by the face's parent; ``oracles.closure_by_levels``
     walks down from the top, breadth-first, over all facets.  Both give the
-    same covers and depths, or the same refusal."""
+    same covers and depths, or the same refusal, once the upward walk's
+    heights and wide covers are expanded by
+    ``oracles.walk_covers_and_depths``."""
 
     @staticmethod
     def assert_same_walk(facets):
@@ -219,6 +223,8 @@ class TestClosureWalk:
         for walk in (_closure_masks, closure_by_levels):
             try:
                 covers, depth = walk(masks, top, DEFAULT_MAX_FACES)
+                if walk is _closure_masks:
+                    covers, depth = walk_covers_and_depths(covers, depth)
             except ValueError as exc:
                 outcomes.append(str(exc))
             else:
@@ -240,18 +246,21 @@ class TestClosureWalk:
         # added below the face {0}.
         star = [f for f in b568.facets if 0 in f]
         self.assert_same_walk(star)
-        covers, depth = _closure_masks(
-            sorted(map(mask_of, star)), mask_of(set().union(*star)), DEFAULT_MAX_FACES
+        covers, depth = walk_covers_and_depths(
+            *_closure_masks(
+                sorted(map(mask_of, star)), mask_of(set().union(*star)), DEFAULT_MAX_FACES
+            )
         )
         assert covers[1] == [0] and depth[0] == depth[1] + 1
 
     @pytest.mark.parametrize("walk", [_closure_masks, closure_by_levels])
     def test_cap_boundary(self, walk, b568):
-        # The top is not counted against the cap.
+        # The top is not counted against the cap.  Each walk's first dict
+        # has one entry per face.
         masks = sorted(map(mask_of, b568.facets))
         top = mask_of(b568.lattice.top())
-        covers, _ = walk(masks, top, len(b568.lattice) - 1)
-        assert len(covers) == len(b568.lattice)
+        faces, _ = walk(masks, top, len(b568.lattice) - 1)
+        assert len(faces) == len(b568.lattice)
         with pytest.raises(FaceCapError, match=f"cap of {len(b568.lattice) - 2} faces"):
             walk(masks, top, len(b568.lattice) - 2)
 
@@ -484,6 +493,22 @@ class TestMemory:
         # bits each, and a mask, a dimension and a class id per face
         lattice = bundles(*dkn).lattice
         assert stored_bytes(lattice) <= 128 * len(lattice)
+
+    def test_build_peak_is_linear_in_the_faces(self, bundles):
+        # The walk keeps one dict entry per face, its height, and a cover
+        # list only under the faces with a cover that misses two or more of
+        # their vertices; the class pass finds the other covers by
+        # membership.  A cover list per face and a second dict of depths
+        # peaked at about 255 bytes per face here.
+        facets = bundles(7, 10, 30).facets
+        tracemalloc.start()
+        try:
+            lattice = build_face_lattice(facets, 7)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        per_face = peak / len(lattice)
+        assert per_face <= 200, f"the build peaks at {per_face:.0f} bytes per face"
 
 
 class TestIntervalAndDownset:

@@ -8,7 +8,8 @@ from oracles import (
     restriction_faces_by_scans,
     shallowness_by_all_faces,
 )
-from ordpoly.combinat import Params
+from ordpoly.combinat import Params, face_of
+from ordpoly.lattice import FaceLattice
 from ordpoly.triangulation import (
     boundary_triangulation,
     shallowness_check,
@@ -180,8 +181,10 @@ class TestShallow:
 
 
 class TestShallowOracle:
-    """``shallowness_check`` lists the faces with 2 dim sigma < d only;
-    ``oracles.shallowness_by_all_faces`` lists every face."""
+    """``shallowness_check`` lists the faces with 2 dim sigma < d only, and
+    looks up a carrier only for those that are not faces of the polytope;
+    ``oracles.shallowness_by_all_faces`` lists every face and looks up the
+    carrier of each."""
 
     @staticmethod
     def assert_same_verdict(simplices, lattice):
@@ -210,6 +213,24 @@ class TestShallowOracle:
         assert (ok, witness) == (False, (0, 4, 8))
         lattice = b568.lattice
         assert lattice.dims[lattice.index(lattice_carrier(lattice, witness))] == 5
+
+    def test_polytope_faces_get_no_carrier(self, b568, monkeypatch):
+        # No carrier is asked for a listed face that is a simplex face of
+        # P^{5,6,8}; the witness, a triangle in no facet, gets one.
+        asked = []
+        carrier_dims = FaceLattice.carrier_dims
+
+        def recorded(lattice, sigma_masks):
+            asked.extend(sigma_masks)
+            return carrier_dims(lattice, sigma_masks)
+
+        monkeypatch.setattr(FaceLattice, "carrier_dims", recorded)
+        lattice = b568.lattice
+        simplices = [s.simplex for s in b568.tri_steps] + [tuple(range(9))]
+        assert shallowness_check(simplices, lattice) == (False, (0, 4, 8))
+        faces = {f for f in lattice.faces if len(f) == lattice.dims[lattice.index(f)] + 1}
+        assert asked and not faces & set(map(face_of, asked))
+        assert (0, 4, 8) in set(map(face_of, asked))
 
     def test_label_outside_the_lattice(self, b568):
         with pytest.raises(ValueError, match="outside the vertex set"):
