@@ -73,7 +73,17 @@ def _cell(value) -> str:
 
 
 def _csv(columns: str, rows) -> str:
-    return "\n".join([columns, *(",".join(_cell(v) for v in row) for row in rows)])
+    """CSV text.  A cell holding a comma, a quote or a line break is quoted
+    and its quotes doubled, as ``csv.writer`` does; importing ``csv`` would
+    slow every start."""
+
+    def quoted(value) -> str:
+        cell = _cell(value)
+        if any(c in cell for c in ',"\r\n'):
+            return '"' + cell.replace('"', '""') + '"'
+        return cell
+
+    return "\n".join([columns, *(",".join(map(quoted, row)) for row in rows)])
 
 
 def _records(columns: str, rows) -> list[dict]:

@@ -132,63 +132,42 @@ class FaceLattice:
         self.d = d
         self.n = masks[-1].bit_length() - 1
         # Covers lie in lower rows, so one ascending pass fills the
-        # classes.  A face's class key is its size and, per lower cover,
-        # the cover renumbered into the face's vertex positions with the
-        # cover's class.  The covers are the maximal faces below, so equal
-        # keys rebuild equal renumbered down-sets, and equal down-sets give
-        # equal keys: the key is exact.  A cover is renumbered by clearing
-        # the position of each vertex it misses: the count of the face's
-        # vertices below that vertex.  A face's value in ``faces`` is
-        # replaced by its class id, which its upper covers read.
-        #
-        # A face of s vertices with s lower covers, each in the class of
-        # the Boolean lattice on s-1 vertices, has the Boolean lattice on
-        # its own vertices as its down-set: its covers are all its
-        # (s-1)-subsets.  boolean[s] is that class, recorded by the first
-        # such face through the full key; later ones take it unkeyed.  A
-        # cover in that class has s-1 vertices, so such a face has no wide
-        # cover, and its one-vertex deletions are read until one is not a
-        # face of that class.
-        classes: dict[tuple[int, frozenset[tuple[int, int]]], int] = {}
+        # classes.  A face's class key holds, per vertex in ascending order,
+        # the class of the face lacking it, or None when that set is not a
+        # face: a one-vertex deletion in the closure is always a lower cover.
+        # The wide covers follow, sorted, each with its class and renumbered
+        # into the face's vertex positions by clearing the position of each
+        # vertex it misses (the count of the face's vertices below it).  A
+        # narrow entry is an int or None and a wide one a tuple, so equal
+        # keys mean equal sizes and equal renumbered covers with equal
+        # classes.  The covers are the maximal faces below, so equal keys
+        # rebuild equal renumbered down-sets, and equal down-sets give equal
+        # keys: the key is exact.  A face's value in ``faces`` becomes its
+        # class id, which its upper covers read.
+        classes: dict[tuple, int] = {}
         class_of: list[int] = []
         reps: list[int] = []
-        boolean: list[int] = []
         for row, mask in enumerate(masks):
-            size = mask.bit_count()
-            cls = None
-            if 0 < size < len(boolean) and mask not in wide:
-                below, rest = boolean[size - 1], mask
-                while rest:
-                    low = rest & -rest
-                    if faces.get(mask ^ low) != below:
-                        break
-                    rest ^= low
-                else:
-                    cls = boolean[size]
-            if cls is None:
-                lower = wide.pop(mask, [])
-                rest = mask
-                while rest:
-                    low = rest & -rest
-                    if mask ^ low in faces:
-                        lower.append(mask ^ low)
-                    rest ^= low
-                key = []
-                for c in lower:
-                    renumbered = (1 << size) - 1
+            key: list = []
+            rest = mask
+            while rest:
+                low = rest & -rest
+                key.append(faces.get(mask ^ low))
+                rest ^= low
+            if mask in wide:
+                pairs = []
+                for c in wide.pop(mask):
+                    renumbered = (1 << len(key)) - 1
                     missing = mask ^ c
                     while missing:
                         low = missing & -missing
                         renumbered ^= 1 << (mask & (low - 1)).bit_count()
                         missing ^= low
-                    key.append((renumbered, faces[c]))
-                cls = classes.setdefault((size, frozenset(key)), len(reps))
-                if cls == len(reps):
-                    reps.append(row)
-                if len(lower) == size == len(boolean) and (
-                    size == 0 or [faces[c] for c in lower].count(boolean[size - 1]) == size
-                ):
-                    boolean.append(cls)
+                    pairs.append((renumbered, faces[c]))
+                key += sorted(pairs)
+            cls = classes.setdefault(tuple(key), len(reps))
+            if cls == len(reps):
+                reps.append(row)
             class_of.append(cls)
             faces[mask] = cls
         faces.clear()

@@ -14,7 +14,7 @@ from itertools import combinations, zip_longest
 from typing import NamedTuple
 
 from .bijection import bijection_records, count_by_size, subset_to_facet
-from .combinat import Params, VertexSet, colex_key, face_of, mask_of
+from .combinat import Params, VertexSet, colex_key, face_of
 from .hvector import (
     HVector,
     contribution_total,
@@ -184,14 +184,8 @@ def _check_eulerian(b: InstanceBundle) -> str:
 def _check_facet_g(b: InstanceBundle) -> str:
     _, g_list = b.toric
     lattice = b.lattice
-    # Facets in colex order sit in the facet block in that order; a list
-    # in another order is looked up face by face.
-    masks, blocks = lattice._masks, lattice._blocks
-    for j, f in enumerate(b.facets):
-        row = blocks[lattice.d] + j
-        if masks[row] != mask_of(f):
-            row = lattice.index(f)
-        got = g_list[row]
+    for f in b.facets:
+        got = g_list[lattice.index(f)]
         want = multiplex_g(b.p.d - 1, len(f))
         if got != want:
             return f"facet {f}: g is {got}, multiplex form says {want}"
@@ -199,6 +193,7 @@ def _check_facet_g(b: InstanceBundle) -> str:
     # multiplex formula; certify that premise on the faces of dimension
     # 2..d-1.  A class shares its renumbered down-set, hence its walls,
     # so its representative decides it.
+    masks, blocks = lattice._masks, lattice._blocks
     for y in lattice._class_reps:
         e = lattice.dims[y]
         if not 2 <= e <= b.p.d - 1:

@@ -65,6 +65,17 @@ SAME_RENUMBERED_COVERS = (
     5,
 )
 
+# The facets of a graded closure on 0..7 where the square pyramid
+# (0, 1, 2, 6, 7) and the face (0, 1, 3, 6, 7) share their one lower cover
+# that misses a single vertex, the square (0, 1, 6, 7), at the same
+# position, and differ only in the covers that miss two vertices: four
+# triangles under the pyramid, three under the other face.
+SAME_NARROW_COVERS = [
+    (0, 1, 2, 3, 6, 7), (0, 1, 2, 4, 5), (0, 1, 2, 5, 6, 7), (0, 1, 3, 4, 6, 7),
+    (0, 1, 4, 5, 6, 7), (0, 2, 3, 4, 5), (0, 2, 3, 5, 6), (0, 3, 4, 5, 6),
+    (1, 2, 3, 4, 7), (1, 2, 4, 5, 7), (2, 3, 4, 5, 7), (2, 3, 5, 6, 7), (3, 4, 5, 6, 7),
+]
+
 
 def order_by_containment(lattice) -> tuple[list[int], list[int]]:
     """For each row y, the bitsets of the rows below and above y, from the

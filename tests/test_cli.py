@@ -1,6 +1,8 @@
 """Command-line contract: byte-stable tables, JSON schemas, exit codes."""
 
+import csv
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -9,6 +11,7 @@ import sys
 import pytest
 
 import ordpoly
+from ordpoly import verify
 from ordpoly.cli import main
 
 TABLE1_TEXT = """\
@@ -238,6 +241,19 @@ class TestVerify:
         doc = json.loads(out)
         assert code == 0
         assert all(c["ok"] for c in doc["checks"])
+
+    def test_csv_keeps_a_detail_naming_a_face_in_one_cell(self, capsys, monkeypatch):
+        detail = "face (0, 1) is not covered exactly once"
+        checks = [
+            (name, (lambda b: detail) if name == "shelling_partition" else fn)
+            for name, fn in verify._CHECKS
+        ]
+        monkeypatch.setattr(verify, "_CHECKS", checks)
+        code, out, _ = run(capsys, "verify", "5", "6", "8", "--format", "csv")
+        assert code == 1
+        rows = list(csv.reader(io.StringIO(out)))
+        assert [len(row) for row in rows] == [6] * 22
+        assert ["5", "6", "8", "shelling_partition", "fail", detail] in rows
 
 
 class TestArgumentErrors:

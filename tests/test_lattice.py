@@ -5,12 +5,13 @@ import tracemalloc
 from itertools import combinations
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
     NOT_EULERIAN,
     PRISMS_SHARING_AN_EDGE_AND_A_VERTEX,
+    SAME_NARROW_COVERS,
     SAME_RENUMBERED_COVERS,
     carrier_by_facets,
     classes_by_full_key,
@@ -365,9 +366,10 @@ class TestClassKey:
 
 
 class TestClassPass:
-    """The class pass takes the class of a face whose down-set is Boolean
-    without keying it, once the first such face of its size has been
-    keyed; ``oracles.classes_by_full_key`` keys every face."""
+    """The class pass keys a face by the classes of its one-vertex
+    deletions, read by position, and its sorted wide covers;
+    ``oracles.classes_by_full_key`` keys every face by its size and the set
+    of all its renumbered covers."""
 
     @staticmethod
     def assert_same_classes(lattice):
@@ -390,6 +392,7 @@ class TestClassPass:
 
     @settings(max_examples=100, deadline=None)
     @given(facet_lists())
+    @example(SAME_NARROW_COVERS)
     def test_random_facet_lists(self, facets):
         self.assert_same_classes(closure_lattice(facets))
 
