@@ -12,6 +12,7 @@ holds vertex v), which reads walls from position tables cached per size.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 VertexSet = tuple[int, ...]
@@ -93,11 +94,24 @@ def retract(values: Iterable[int], n: int) -> VertexSet:
     """Clamp every element into [0, n], then deduplicate and sort.
 
     Negative elements collapse onto 0 and elements above n collapse onto n,
-    so the result can be much smaller than the input.
+    so the result can be much smaller than the input.  The distinct values
+    are sorted once and the two clamped ends found by bisection: the
+    largest value <= 0 stands for all of them as 0, the smallest >= n as n.
     """
     if n < 0:
         raise ValueError(f"retraction bound must be >= 0, got {n}")
-    return tuple(sorted({min(max(v, 0), n) for v in values}))
+    s = sorted(set(values))
+    if n == 0:
+        # Both ends clamp onto the one label 0.
+        return (0,) if s else ()
+    lo, hi = bisect_right(s, 0), bisect_left(s, n)
+    if lo:
+        lo -= 1
+        s[lo] = 0
+    if hi < len(s):
+        s[hi] = n
+        hi += 1
+    return tuple(s[lo:hi])
 
 
 def maximal_runs(face: VertexSet) -> list[Interval]:

@@ -6,7 +6,8 @@ enumeration of the generator family (windows [i,i+2r-1] u Y u
 high facets of P^{d,k,n-1} to the right.  Their agreement is a standing
 cross-check.  The recursion reads the enumeration's generators once, at
 the cyclic base n = k, where it checks them against the Gale brute force;
-from there it carries each facet's generators up one level at a time.
+from there it carries the generators of the facets that still move (max
+at least n-1) up one level at a time, and sets the others aside.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .combinat import (
 from .multiplex import multiplex_facet, multiplex_facets
 
 RawGenerator = tuple[int, ...]
+GeneratorMap = dict[VertexSet, list[RawGenerator]]
 
 
 def _generator_windows(p: Params):
@@ -53,7 +55,7 @@ def _generator_windows(p: Params):
 
 
 @lru_cache(maxsize=None)
-def _facet_generator_map(p: Params) -> dict[VertexSet, list[RawGenerator]]:
+def _facet_generator_map(p: Params) -> GeneratorMap:
     """Map each facet to every raw generator that retracts onto it."""
     d, n = p.d, p.n
     if p.is_multiplex and (d % 2 == 0 or d < 5):
@@ -63,7 +65,7 @@ def _facet_generator_map(p: Params) -> dict[VertexSet, list[RawGenerator]]:
         # k = d, so the multiplex identity P^{d,d,n} = M^{d,n} is a real
         # cross-check.
         return {f: [] for f in multiplex_facets(d, n)}
-    out: dict[VertexSet, list[RawGenerator]] = {}
+    out: GeneratorMap = {}
     for gen in _generator_windows(p):
         facet = retract(gen, n)
         if len(facet) >= d:
@@ -141,7 +143,7 @@ def _shift_generators(
     Every generator moves up by one (x -> x+1); their retractions into
     [0, n] must all be one facet.
     """
-    shifted = [tuple(x + 1 for x in gen) for gen in gens]
+    shifted = [tuple([x + 1 for x in gen]) for gen in gens]
     images = {retract(gen, n) for gen in shifted}
     if len(images) != 1:
         raise AssertionError(f"ambiguous right shift of {face}: {sorted(images)}")
@@ -156,15 +158,23 @@ def _gale_facets(p: Params) -> list[VertexSet]:
     )
 
 
-def _carried_generators(p: Params) -> Iterator[dict[VertexSet, list[RawGenerator]]]:
-    """Every facet of P^{d,k,nn} with its raw generators, for nn = k, ..., n.
+def _carried_generators(p: Params) -> Iterator[tuple[GeneratorMap, GeneratorMap]]:
+    """Every facet of P^{d,k,nn} with its raw generators, for nn = k, ..., n,
+    as one (newly settled, moving) pair of maps per level.
+
+    A facet of level nn moves when its max is at least nn-1: the next
+    level shifts it.  One with max <= nn-2 has settled: it is a facet of
+    every later level, with the same generators, and is yielded only at
+    the level where it settles.  Level nn's facets are those settled up to
+    nn and its moving ones, and a level costs only its moving facets.
 
     The base n = k takes its generators from the one map of the cyclic
     polytope, whose facets must be the Gale brute force's.  Each later
-    level is carried from the one below: facets with max <= nn-2 keep
-    their generators, and those with max >= nn-2 shift theirs by one.
-    For k > d only: multiplex instances of even d have no generators, so
-    ``facets_by_recursion`` shifts those by window index.
+    level nn shifts the generators of every moving facet by one; those
+    with max exactly nn-2 also settle, generators unchanged.  A shifted
+    image has max >= nn-1, so it moves again.  For k > d only: multiplex
+    instances of even d have no generators, so ``facets_by_recursion``
+    shifts those by window index.
     """
     base = Params(p.d, p.k, p.k)
     carried = _facet_generator_map(base)
@@ -174,19 +184,17 @@ def _carried_generators(p: Params) -> Iterator[dict[VertexSet, list[RawGenerator
         raise AssertionError(
             f"generator map of {base} disagrees with the Gale facets at {witness}"
         )
-    yield carried
+    moving = {f: gens for f, gens in carried.items() if f[-1] >= p.k - 1}
+    yield {f: gens for f, gens in carried.items() if f[-1] <= p.k - 2}, moving
     for nn in range(p.k + 1, p.n + 1):
-        kept = {f: gens for f, gens in carried.items() if f[-1] <= nn - 2}
-        moved = [
-            _shift_generators(f, gens, nn)
-            for f, gens in carried.items()
-            if f[-1] >= nn - 2
-        ]
-        shifted = dict(moved)
-        if len(shifted) < len(moved) or kept.keys() & shifted.keys():
+        settled = {f: gens for f, gens in moving.items() if f[-1] == nn - 2}
+        moved = [_shift_generators(f, gens, nn) for f, gens in moving.items()]
+        moving = dict(moved)
+        # Every settled facet has max <= nn-2, so an image with max >= nn-1
+        # cannot land on one.
+        if len(moving) < len(moved) or any(f[-1] < nn - 1 for f in moving):
             raise AssertionError(f"facet recursion overlap at n={nn}")
-        carried = kept | shifted
-        yield carried
+        yield settled, moving
 
 
 def facets_by_recursion(p: Params) -> list[VertexSet]:
@@ -194,25 +202,34 @@ def facets_by_recursion(p: Params) -> list[VertexSet]:
 
     Facets of the smaller polytope with max <= n-2 persist; those with
     max >= n-2 are right-shifted.  The two groups stay disjoint because
-    shifting raises the maximum to at least n-1.  For k > d the right
+    shifting raises the maximum to at least n-1, and a facet with max
+    <= n-2 never moves again, so each level costs only its moving facets
+    and the list is colex-sorted once, at the end.  For k > d the right
     shift acts on generators carried up from the base (see
-    ``_carried_generators``), so one call reads one generator map; the
-    multiplex case k = d shifts by window index, through one index map
-    per level.
+    ``_carried_generators``), so one call reads one generator map.  The
+    multiplex case k = d shifts by window index: the base facets' indices
+    are read from one index map, and the facet of index i moves onto the
+    window of index i+1.
     """
     if p.is_multiplex:
-        facets = _gale_facets(Params(p.d, p.k, p.k))
-        for nn in range(p.k + 1, p.n + 1):
-            target = Params(p.d, p.k, nn)
-            indices = _window_indices(p.d, nn - 1)
-            kept = [f for f in facets if max(f) <= nn - 2]
-            shifted = [
-                _shift_by_index(f, indices, target) for f in facets if max(f) >= nn - 2
-            ]
-            if set(kept) & set(shifted):
+        d, k = p.d, p.k
+        base = Params(d, k, k)
+        indices = _window_indices(d, k)
+        # Each facet of the simplex P^{d,d,d} has max d-1 or d, so all move.
+        moving: list[tuple[int, VertexSet]] = []
+        for f in _gale_facets(base):
+            i = indices.get(f)
+            if i is None:
+                raise ValueError(f"{f} is not a facet of {base}")
+            moving.append((i, f))
+        settled: list[VertexSet] = []
+        for nn in range(k + 1, p.n + 1):
+            settled += [f for _, f in moving if f[-1] == nn - 2]
+            moving = [(i + 1, multiplex_facet(d, nn, i + 1)) for i, _ in moving]
+            if any(f[-1] < nn - 1 for _, f in moving):
                 raise AssertionError(f"facet recursion overlap at n={nn}")
-            facets = colex_sorted(kept + shifted)
-        return facets
-    for carried in _carried_generators(p):
-        pass
-    return colex_sorted(carried)
+        return colex_sorted(settled + [f for _, f in moving])
+    facets: list[VertexSet] = []
+    for settled_now, moving_now in _carried_generators(p):
+        facets += settled_now
+    return colex_sorted(facets + list(moving_now))

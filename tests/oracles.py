@@ -93,6 +93,12 @@ def order_by_containment(lattice) -> tuple[list[int], list[int]]:
     return below, above
 
 
+def retract_by_clamping(values, n: int) -> tuple[int, ...]:
+    """Retraction by its definition: clamp every element into [0, n] on
+    its own, then deduplicate and sort."""
+    return tuple(sorted({min(max(v, 0), n) for v in values}))
+
+
 def brute_cyclic_facets(d: int, n: int) -> list[tuple[int, ...]]:
     """Scan every d-subset of [0,n] for Gale evenness directly.
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import shelling_walls_by_scans, simplex_walls
+from oracles import retract_by_clamping, shelling_walls_by_scans, simplex_walls
 from ordpoly.combinat import (
     Interval,
     Params,
@@ -143,6 +143,25 @@ class TestRetract:
         assert once == retract(once, n)
         assert all(0 <= v <= n for v in once)
         assert list(once) == sorted(set(once))
+
+    @given(st.lists(st.integers(-100, 100), max_size=16), st.integers(0, 40))
+    def test_matches_clamping_each_element(self, values, n):
+        # Unsorted lists with duplicates, empty lists, values far outside
+        # [0, n], and n = 0, where both clamped ends are one label.
+        assert retract(values, n) == retract_by_clamping(values, n)
+
+    @pytest.mark.parametrize(
+        "values,n,expected",
+        [
+            ([0], 0, (0,)),
+            ([-5, 7], 0, (0,)),
+            ([], 0, ()),
+            ([], 5, ()),
+            ([3, -1, 3, 9, 0], 5, (0, 3, 5)),
+        ],
+    )
+    def test_edge_cases(self, values, n, expected):
+        assert retract(values, n) == expected == retract_by_clamping(values, n)
 
 
 class TestRuns:

@@ -116,6 +116,29 @@ class TestShifts:
         p = Params(*dkn)
         assert facets_by_recursion(p) == enumerate_facets(p)
 
+    def test_one_window_map_per_call(self, monkeypatch):
+        # The base facets' window indices are read once; each moving facet
+        # then carries its index up.
+        calls = []
+        real = ordinary._window_indices
+
+        def counted(d, n):
+            calls.append((d, n))
+            return real(d, n)
+
+        monkeypatch.setattr(ordinary, "_window_indices", counted)
+        facets_by_recursion(Params(6, 6, 120))
+        assert calls == [(6, 6)]
+
+    def test_multiplex_base_must_be_windows(self, monkeypatch):
+        real = ordinary._gale_facets(Params(5, 5, 5))
+        swapped = [(0, 1, 2, 5) if f == (0, 1, 2, 3, 5) else f for f in real]
+        assert swapped != real
+        monkeypatch.setattr(ordinary, "_gale_facets", lambda p: swapped)
+        refusal = r"^\(0, 1, 2, 5\) is not a facet of P\^\{5,5,5\}$"
+        with pytest.raises(ValueError, match=refusal):
+            facets_by_recursion(Params(5, 5, 7))
+
     @given(st.sampled_from([(5, 6, 8), (5, 7, 9), (7, 9, 12)]))
     @settings(deadline=None, max_examples=3)
     def test_lsh_lands_in_smaller_instance(self, dkn):
@@ -135,10 +158,18 @@ class TestCarriedRecursion:
         "p", [p for p in grid_instances() if not p.is_multiplex] + [Params(5, 6, 40)], ids=str
     )
     def test_carried_maps_match_the_enumeration(self, p):
-        levels = list(_carried_generators(p))
-        assert len(levels) == p.n - p.k + 1
-        for nn, carried in zip(range(p.k, p.n + 1), levels):
-            assert carried == _facet_generator_map(Params(p.d, p.k, nn)), nn
+        # Each level is checked before the iterator advances; the settled
+        # and moving parts must be disjoint, and together exactly the
+        # enumeration's map at that level.
+        settled = {}
+        levels = 0
+        for nn, (newly, moving) in enumerate(_carried_generators(p), p.k):
+            assert not newly.keys() & settled.keys(), nn
+            settled.update(newly)
+            assert not settled.keys() & moving.keys(), nn
+            assert {**settled, **moving} == _facet_generator_map(Params(p.d, p.k, nn)), nn
+            levels += 1
+        assert levels == p.n - p.k + 1
 
     def test_one_generator_map_per_call(self):
         _facet_generator_map.cache_clear()
