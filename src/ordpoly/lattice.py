@@ -210,13 +210,19 @@ class FaceLattice:
                 raise ValueError(f"{face} is not a face of this lattice")
             mask |= 1 << v
             last = v
-        masks, blocks = self._masks, self._blocks
-        for b in range(min(len(face), self.d + 1), -1, -1):  # block b holds dimension b-1
-            lo, hi = blocks[b], blocks[b + 1]
-            row = bisect_left(masks, mask, lo, hi)
-            if row < hi and masks[row] == mask:
+        for e in range(min(len(face), self.d + 1) - 1, -2, -1):
+            row = self._row(mask, e)
+            if row >= 0:
                 return row
         raise ValueError(f"{face} is not a face of this lattice")
+
+    def _row(self, mask: int, e: int) -> int:
+        """Row of the vertex bitmask ``mask`` among the faces of dimension
+        e, found by bisection in their block; -1 when it is none of them."""
+        masks = self._masks
+        lo, hi = self._blocks[e + 1], self._blocks[e + 2]
+        row = bisect_left(masks, mask, lo, hi)
+        return row if row < hi and masks[row] == mask else -1
 
     def top(self) -> VertexSet:
         return face_of(self._masks[-1])

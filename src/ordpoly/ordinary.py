@@ -1,13 +1,14 @@
-"""Facet enumeration of P^{d,k,n} and the left/right shift maps.
+"""Facet enumeration of P^{d,k,n}, the left shift and the facet recursion.
 
 Two independent constructions of the facet list are provided: direct
 enumeration of the generator family (windows [i,i+2r-1] u Y u
 [i+k,i+k+2r-1] retracted into [0,n]) and a recursion on n that shifts the
 high facets of P^{d,k,n-1} to the right.  Their agreement is a standing
-cross-check.  The recursion reads the enumeration's generators once, at
-the cyclic base n = k, where it checks them against the Gale brute force;
-from there it carries the generators of the facets that still move (max
-at least n-1) up one level at a time, and sets the others aside.
+cross-check.  The recursion reads its base once, at the cyclic polytope
+n = k, where it checks it against the Gale brute force; from there it
+carries the generators (for k > d) or window indices (for k = d) of the
+facets that still move (max at least n-1) up one level at a time, and
+sets the others aside.
 """
 
 from __future__ import annotations
@@ -98,43 +99,6 @@ def lsh(face: VertexSet, p: Params) -> VertexSet:
     return tuple(shifted)
 
 
-def rsh(face: VertexSet, p: Params) -> VertexSet:
-    """Right shift: maps a facet of P^{d,k,n-1} to a facet of p.
-
-    The shift acts on generators, not vertex sets, so every generator of
-    the facet is shifted and the images are required to agree.
-    """
-    d, k, n = p.d, p.k, p.n
-    if p.is_multiplex:
-        return _shift_by_index(face, _window_indices(d, n - 1), p)
-    source = Params(d, k, n - 1)
-    gens = _facet_generator_map(source).get(face)
-    if gens is None:
-        raise ValueError(f"{face} is not a facet of {source}")
-    return _shift_generators(face, gens, n)[0]
-
-
-def _window_indices(d: int, n: int) -> dict[VertexSet, int]:
-    """Each facet of the multiplex M^{d,n} with its window index."""
-    return {f: i for i, f in enumerate(multiplex_facets(d, n))}
-
-
-def _shift_by_index(
-    face: VertexSet, indices: dict[VertexSet, int], p: Params
-) -> VertexSet:
-    """The multiplex right shift onto p, given the window indices of the
-    facets one size down.
-
-    Clamped windows shift by index: the facet omitting i becomes the facet
-    omitting i+1, and F_0 of the source maps onto F_0 again only through
-    its generator; index lookup keeps this exact.
-    """
-    i = indices.get(face)
-    if i is None:
-        raise ValueError(f"{face} is not a facet of {Params(p.d, p.k, p.n - 1)}")
-    return multiplex_facet(p.d, p.n, i + 1)
-
-
 def _shift_generators(
     face: VertexSet, gens: list[RawGenerator], n: int
 ) -> tuple[VertexSet, list[RawGenerator]]:
@@ -158,37 +122,44 @@ def _gale_facets(p: Params) -> list[VertexSet]:
     )
 
 
-def _carried_generators(p: Params) -> Iterator[tuple[GeneratorMap, GeneratorMap]]:
-    """Every facet of P^{d,k,nn} with its raw generators, for nn = k, ..., n,
+def _levels(p: Params) -> Iterator[tuple[dict, dict]]:
+    """Every facet of P^{d,k,nn} with what it carries, for nn = k, ..., n,
     as one (newly settled, moving) pair of maps per level.
 
     A facet of level nn moves when its max is at least nn-1: the next
     level shifts it.  One with max <= nn-2 has settled: it is a facet of
-    every later level, with the same generators, and is yielded only at
-    the level where it settles.  Level nn's facets are those settled up to
-    nn and its moving ones, and a level costs only its moving facets.
-
-    The base n = k takes its generators from the one map of the cyclic
-    polytope, whose facets must be the Gale brute force's.  Each later
-    level nn shifts the generators of every moving facet by one; those
-    with max exactly nn-2 also settle, generators unchanged.  A shifted
-    image has max >= nn-1, so it moves again.  For k > d only: multiplex
-    instances of even d have no generators, so ``facets_by_recursion``
-    shifts those by window index.
+    every later level and is yielded only at the level where it settles,
+    so a level costs only its moving facets.  Its images must be distinct
+    and have max >= nn-1, so they move again.  For k > d a facet carries
+    its raw generators, each shifted up by one; for k = d (even d has no
+    generators) its window index i, and it moves onto the window i+1.
     """
-    base = Params(p.d, p.k, p.k)
-    carried = _facet_generator_map(base)
+    d, k = p.d, p.k
+    base = Params(d, k, k)
     gale = _gale_facets(base)
-    if set(carried) != set(gale):
-        witness = colex_sorted(set(carried) ^ set(gale))[0]
-        raise AssertionError(
-            f"generator map of {base} disagrees with the Gale facets at {witness}"
-        )
-    moving = {f: gens for f, gens in carried.items() if f[-1] >= p.k - 1}
-    yield {f: gens for f, gens in carried.items() if f[-1] <= p.k - 2}, moving
-    for nn in range(p.k + 1, p.n + 1):
-        settled = {f: gens for f, gens in moving.items() if f[-1] == nn - 2}
-        moved = [_shift_generators(f, gens, nn) for f, gens in moving.items()]
+    if p.is_multiplex:
+        indices = {f: i for i, f in enumerate(multiplex_facets(d, k))}
+        for f in gale:
+            if f not in indices:
+                raise ValueError(f"{f} is not a facet of {base}")
+        carried = {f: indices[f] for f in gale}
+
+        def shift(face: VertexSet, i: int, nn: int) -> tuple[VertexSet, int]:
+            return multiplex_facet(d, nn, i + 1), i + 1
+
+    else:
+        carried = _facet_generator_map(base)
+        if set(carried) != set(gale):
+            witness = colex_sorted(set(carried) ^ set(gale))[0]
+            raise AssertionError(
+                f"generator map of {base} disagrees with the Gale facets at {witness}"
+            )
+        shift = _shift_generators
+    moving = {f: c for f, c in carried.items() if f[-1] >= k - 1}
+    yield {f: c for f, c in carried.items() if f[-1] <= k - 2}, moving
+    for nn in range(k + 1, p.n + 1):
+        settled = {f: c for f, c in moving.items() if f[-1] == nn - 2}
+        moved = [shift(f, c, nn) for f, c in moving.items()]
         moving = dict(moved)
         # Every settled facet has max <= nn-2, so an image with max >= nn-1
         # cannot land on one.
@@ -198,38 +169,11 @@ def _carried_generators(p: Params) -> Iterator[tuple[GeneratorMap, GeneratorMap]
 
 
 def facets_by_recursion(p: Params) -> list[VertexSet]:
-    """Facet list built by recursion on n from the cyclic base n = k.
-
-    Facets of the smaller polytope with max <= n-2 persist; those with
-    max >= n-2 are right-shifted.  The two groups stay disjoint because
-    shifting raises the maximum to at least n-1, and a facet with max
-    <= n-2 never moves again, so each level costs only its moving facets
-    and the list is colex-sorted once, at the end.  For k > d the right
-    shift acts on generators carried up from the base (see
-    ``_carried_generators``), so one call reads one generator map.  The
-    multiplex case k = d shifts by window index: the base facets' indices
-    are read from one index map, and the facet of index i moves onto the
-    window of index i+1.
+    """Facet list built by recursion on n from the cyclic base n = k: the
+    facets settled at every level of ``_levels`` and those still moving at
+    the last, colex-sorted once.
     """
-    if p.is_multiplex:
-        d, k = p.d, p.k
-        base = Params(d, k, k)
-        indices = _window_indices(d, k)
-        # Each facet of the simplex P^{d,d,d} has max d-1 or d, so all move.
-        moving: list[tuple[int, VertexSet]] = []
-        for f in _gale_facets(base):
-            i = indices.get(f)
-            if i is None:
-                raise ValueError(f"{f} is not a facet of {base}")
-            moving.append((i, f))
-        settled: list[VertexSet] = []
-        for nn in range(k + 1, p.n + 1):
-            settled += [f for _, f in moving if f[-1] == nn - 2]
-            moving = [(i + 1, multiplex_facet(d, nn, i + 1)) for i, _ in moving]
-            if any(f[-1] < nn - 1 for _, f in moving):
-                raise AssertionError(f"facet recursion overlap at n={nn}")
-        return colex_sorted(settled + [f for _, f in moving])
     facets: list[VertexSet] = []
-    for settled_now, moving_now in _carried_generators(p):
-        facets += settled_now
-    return colex_sorted(facets + list(moving_now))
+    for settled, moving in _levels(p):
+        facets += settled
+    return colex_sorted(facets + list(moving))

@@ -13,7 +13,6 @@ principles and serves as the independent check on the U recursion.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from functools import lru_cache, reduce
 from itertools import combinations
 from operator import and_
@@ -165,7 +164,7 @@ def shallowness_check(
     Only the faces with 2 dim sigma < d are listed: a carrier is a face of
     the polytope, of dimension at most d, so a larger face cannot fail.
     Nor can a face sigma of the polytope, which is its own carrier: those
-    found by bisection in the dimension block |sigma|-1 get no carrier.
+    found among the faces of dimension |sigma|-1 get no carrier.
     Returns (True, None) or (False, the first failing face in sorted order).
     """
     largest = (lattice.d + 1) // 2  # the largest size with 2 (size - 1) < d
@@ -173,14 +172,7 @@ def shallowness_check(
     for simplex in simplices:
         for size in range(1, min(len(simplex), largest) + 1):
             faces.update(combinations(simplex, size))
-    masks, blocks = lattice._masks, lattice._blocks
-    rest = []
-    for face in faces:
-        mask = mask_of(face)
-        lo, hi = blocks[len(face)], blocks[len(face) + 1]  # dimension |face|-1
-        row = bisect_left(masks, mask, lo, hi)
-        if row == hi or masks[row] != mask:
-            rest.append(mask)
+    rest = [m for m in map(mask_of, faces) if lattice._row(m, m.bit_count() - 1) < 0]
     failing = [
         face_of(sigma)
         for sigma, cdim in zip(rest, lattice.carrier_dims(rest))

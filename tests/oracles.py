@@ -1,13 +1,16 @@
 """Independent reference computations used by several test modules.
 
 These are deliberately written against the definitions only, with none of
-the library's run/shift machinery in the loop, so they can arbitrate.
+the library's run/shift machinery in the loop, so they can arbitrate.  The
+one exception is ``rsh``, the right shift of one facet, which the tests of
+the shift itself call and no library code does.
 """
 
 from itertools import combinations
 
 from ordpoly.combinat import (
     Interval,
+    Params,
     _maximal,
     colex_key,
     colex_sorted,
@@ -18,6 +21,8 @@ from ordpoly.combinat import (
 )
 from ordpoly.hvector import expand_x_minus_one
 from ordpoly.lattice import FaceCapError, rows_of
+from ordpoly.multiplex import multiplex_facet, multiplex_facets
+from ordpoly.ordinary import _facet_generator_map, _shift_generators
 
 # Graded closures that are not Eulerian, as (facets, d): each breaks the
 # Moebius condition in a different place (see TestNotEulerian).
@@ -116,6 +121,29 @@ def brute_cyclic_facets(d: int, n: int) -> list[tuple[int, ...]]:
         if all(len(r) % 2 == 0 for r in runs if r[0] != 0 and r[-1] != n):
             out.append(subset)
     return sorted(out, key=colex_key)
+
+
+def rsh(face, p):
+    """Right shift: maps a facet of P^{d,k,n-1} to a facet of p.
+
+    The shift acts on generators, not vertex sets, so every generator of
+    the facet is shifted and the images are required to agree.  A multiplex
+    has clamped windows in their place, shifted by index: the facet
+    omitting i becomes the facet omitting i+1, and F_0 of the source maps
+    onto F_0 again only through its generator; index lookup keeps this
+    exact.
+    """
+    d, k, n = p.d, p.k, p.n
+    source = Params(d, k, n - 1)
+    if p.is_multiplex:
+        indices = {f: i for i, f in enumerate(multiplex_facets(d, n - 1))}
+        if face not in indices:
+            raise ValueError(f"{face} is not a facet of {source}")
+        return multiplex_facet(d, n, indices[face] + 1)
+    gens = _facet_generator_map(source).get(face)
+    if gens is None:
+        raise ValueError(f"{face} is not a facet of {source}")
+    return _shift_generators(face, gens, n)[0]
 
 
 def antistar_new_faces(bundle) -> list[tuple[int, ...] | None]:

@@ -431,7 +431,8 @@ class TestDerivedOrder:
 
 class TestRowAccessors:
     """``faces`` builds each row's vertex tuple from its mask, and
-    ``index`` finds a row by bisection inside a dimension block."""
+    ``index`` finds a row by bisection inside a dimension block, which
+    ``_row`` searches alone."""
 
     @staticmethod
     def assert_rows(lattice):
@@ -440,6 +441,9 @@ class TestRowAccessors:
         for row, mask in enumerate(lattice._masks):
             assert faces[row] == face_of(mask)
             assert lattice.index(faces[row]) == row
+            e = lattice.dims[row]
+            assert lattice._row(mask, e) == row
+            assert e < 0 or lattice._row(mask, e - 1) == -1
         assert faces[-1] == lattice.top()
         assert faces[1:4] == tuple(map(face_of, lattice._masks[1:4]))
         assert list(faces) == [faces[r] for r in range(len(lattice))]

@@ -1,19 +1,20 @@
-"""Facet enumeration for the general construction, and the two shift maps."""
+"""Facet enumeration for the general construction, the left and right
+shifts, and the facet recursion under both shift rules."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_cyclic_facets
+from oracles import brute_cyclic_facets, rsh
 from ordpoly import ordinary
 from ordpoly.combinat import Params, colex_key
+from ordpoly.multiplex import multiplex_facets
 from ordpoly.ordinary import (
-    _carried_generators,
     _facet_generator_map,
+    _levels,
     enumerate_facets,
     facets_by_recursion,
     lsh,
-    rsh,
 )
 from ordpoly.verify import grid_instances
 
@@ -120,15 +121,25 @@ class TestShifts:
         # The base facets' window indices are read once; each moving facet
         # then carries its index up.
         calls = []
-        real = ordinary._window_indices
+        real = ordinary.multiplex_facets
 
         def counted(d, n):
             calls.append((d, n))
             return real(d, n)
 
-        monkeypatch.setattr(ordinary, "_window_indices", counted)
+        monkeypatch.setattr(ordinary, "multiplex_facets", counted)
         facets_by_recursion(Params(6, 6, 120))
         assert calls == [(6, 6)]
+
+    def test_colliding_windows_are_an_overlap(self, monkeypatch):
+        # Indices n-1 and n landing on one window must be refused, as two
+        # colliding generator images are.
+        real = ordinary.multiplex_facet
+        monkeypatch.setattr(
+            ordinary, "multiplex_facet", lambda d, n, i: real(d, n, n if i >= n - 1 else i)
+        )
+        with pytest.raises(AssertionError, match=r"^facet recursion overlap at n=6$"):
+            facets_by_recursion(Params(5, 5, 8))
 
     def test_multiplex_base_must_be_windows(self, monkeypatch):
         real = ordinary._gale_facets(Params(5, 5, 5))
@@ -150,26 +161,36 @@ class TestShifts:
                 assert lsh(f, p) in smaller
 
 
+def assert_levels(p, expected):
+    """Check each level of ``_levels(p)`` before the iterator advances: the
+    settled and moving parts must be disjoint, and together exactly
+    ``expected(nn)``; and count the levels."""
+    settled = {}
+    levels = 0
+    for nn, (newly, moving) in enumerate(_levels(p), p.k):
+        assert not newly.keys() & settled.keys(), nn
+        settled.update(newly)
+        assert not settled.keys() & moving.keys(), nn
+        assert {**settled, **moving} == expected(nn), nn
+        levels += 1
+    assert levels == p.n - p.k + 1
+
+
 class TestCarriedRecursion:
-    """For k > d the recursion carries generators up from the cyclic base
-    instead of reading the generator map of every smaller polytope."""
+    """The recursion carries generators (k > d) or window indices (k = d)
+    up from the cyclic base instead of reading the facets of every smaller
+    polytope."""
 
     @pytest.mark.parametrize(
         "p", [p for p in grid_instances() if not p.is_multiplex] + [Params(5, 6, 40)], ids=str
     )
     def test_carried_maps_match_the_enumeration(self, p):
-        # Each level is checked before the iterator advances; the settled
-        # and moving parts must be disjoint, and together exactly the
-        # enumeration's map at that level.
-        settled = {}
-        levels = 0
-        for nn, (newly, moving) in enumerate(_carried_generators(p), p.k):
-            assert not newly.keys() & settled.keys(), nn
-            settled.update(newly)
-            assert not settled.keys() & moving.keys(), nn
-            assert {**settled, **moving} == _facet_generator_map(Params(p.d, p.k, nn)), nn
-            levels += 1
-        assert levels == p.n - p.k + 1
+        assert_levels(p, lambda nn: _facet_generator_map(Params(p.d, p.k, nn)))
+
+    @pytest.mark.parametrize("dkn", [(2, 2, 60), (3, 3, 120), (4, 4, 120), (5, 5, 40), (6, 6, 120)])
+    def test_carried_indices_match_the_windows(self, dkn):
+        p = Params(*dkn)
+        assert_levels(p, lambda nn: {f: i for i, f in enumerate(multiplex_facets(p.d, nn))})
 
     def test_one_generator_map_per_call(self):
         _facet_generator_map.cache_clear()
