@@ -7,7 +7,9 @@ supplies the primitive operations on such sets: retraction (clamping into
 colexicographic order used throughout, the bitmask encoding (bit v set
 iff label v is in the set) with the maximal-masks helper, and the shelling
 wall test on per-vertex incidence bitsets (bit i of row v set iff cell i
-holds vertex v), which reads walls from position tables cached per size.
+holds vertex v), which reads walls from position tables cached per size
+and returns both the covered walls and the stray earlier cells, so each
+caller names its own failure from one pass.
 """
 
 from __future__ import annotations
@@ -182,8 +184,6 @@ def _paired_from(lo: int, hi: int, size: int) -> Iterator[list[int]]:
         return
     for start in range(lo, hi - size + 2):
         for length in range(2, size + 1, 2):
-            if start + length - 1 > hi:
-                break
             head = list(range(start, start + length))
             for rest in _paired_from(start + length + 1, hi, size - length):
                 yield head + rest
@@ -243,7 +243,7 @@ def _maximal(masks: Iterable[int]) -> list[int]:
 
 def shelling_walls(
     cell: Sequence[int], walls: WallTable, rows: Sequence[int], earlier: int
-) -> list[int] | None:
+) -> tuple[list[int], int]:
     """The shelling rule for one step, on per-vertex incidence bitsets.
 
     ``cell`` lists the cell's vertex labels, and each wall is a pair
@@ -253,17 +253,20 @@ def shelling_walls(
     placed before ``cell``; bits of ``rows`` outside ``earlier`` are
     ignored.  ``rows`` must have an entry for each vertex of ``cell``.
 
-    Past the first step (``earlier`` nonzero) some wall of ``cell`` must
-    lie in an earlier cell, and every nonempty meet of ``cell`` with an
-    earlier cell must sit inside one of those covered walls.  Returns the
-    covered wall indices, or None when the rule fails.  A wall W is
+    Returns (covered, stray): the indices of the walls that lie in an
+    earlier cell, and the bitset of the earlier cells that meet ``cell``
+    outside every covered wall.  The rule holds iff ``(covered or not
+    earlier) and not stray``: past the first step some wall is covered,
+    and every nonempty meet sits inside a covered wall.  A wall W is
     covered iff some earlier cell holds all its vertices, and an earlier
     cell meets ``cell`` inside W iff it holds no vertex of ``cell`` outside
-    W, so neither condition visits the earlier cells one by one.
+    W, so neither part visits the earlier cells one by one.
     """
     held = [rows[v] & earlier for v in cell]
     covered: list[int] = []
-    inside = 0
+    inside = touching = 0
+    for h in held:
+        touching |= h
     for i, (wall, rest) in enumerate(walls):
         holding = earlier
         for t in wall:
@@ -274,11 +277,4 @@ def shelling_walls(
             for t in rest:
                 outside |= held[t]
             inside |= earlier & ~outside
-    if earlier and not covered:
-        return None
-    touching = 0
-    for h in held:
-        touching |= h
-    if touching & ~inside:
-        return None
-    return covered
+    return covered, touching & ~inside

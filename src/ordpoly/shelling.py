@@ -188,26 +188,20 @@ def verify_shelling_partition(
     """Every face except the top must lie in exactly one step interval.
 
     ``intervals`` are the row bitsets of ``step_intervals``; the empty
-    face belongs to step 1.  When the intervals cover every row but the
-    top and their sizes sum to the number of those rows, no row is
-    covered twice.  Otherwise the rows are counted to name the witness:
-    the first row covered a wrong number of times.  Returns (ok, witness).
+    face belongs to step 1.  One pass collects the rows met at all and
+    the rows met twice.  The wrong rows are those met twice, those
+    missed, and the top if it was met; the lowest of them is the
+    witness.  Returns (ok, witness).
     """
-    top = len(lattice) - 1  # the top lies in no step interval
-    union = total = 0
+    union = twice = 0
     for bits in intervals:
+        twice |= union & bits
         union |= bits
-        total += bits.bit_count()
-    if union == lattice._all ^ 1 << top and total == top:
+    # the top is the highest row and lies in no step interval
+    wrong = twice | (union ^ (lattice._all >> 1))
+    if not wrong:
         return True, None
-    counts = [0] * len(lattice)
-    for bits in intervals:
-        for r in rows_of(bits):
-            counts[r] += 1
-    for row, got in enumerate(counts):
-        if got != (0 if row == top else 1):
-            return False, lattice.faces[row]
-    return True, None
+    return False, lattice.faces[(wrong & -wrong).bit_length() - 1]
 
 
 def boolean_interval_check(lattice: FaceLattice, interval: int) -> bool:
@@ -256,29 +250,23 @@ class StateBudgetError(RuntimeError):
 
 
 @lru_cache(maxsize=None)
-def _multiplex_walls(e: int, size: int) -> WallTable:
+def _multiplex_walls(e: int, size: int) -> tuple[WallTable, tuple[int, ...]]:
     """Walls of the e-multiplex on ``size`` vertices, by position: per
-    facet, (positions inside it, positions outside it).  For e = 1 the
-    facets are the two ends of an edge."""
+    facet, (positions inside it, positions outside it); and per position
+    t the bitset of the facets holding t.  For e = 1 the facets are the
+    two ends of an edge."""
     if e == 1 and size != 2:
         raise ValueError(f"a 1-face has exactly 2 vertices, got {size}")
     facets = [(0,), (1,)] if e == 1 else multiplex_facets(e, size - 1)
-    return tuple((f, tuple(t for t in range(size) if t not in f)) for f in facets)
-
-
-@lru_cache(maxsize=None)
-def _ridges(e: int, p: int) -> tuple[tuple[VertexSet, ...], tuple[int, ...]]:
-    """The facets of the e-multiplex with p+1 vertices as position tuples,
-    and per position v the bitset of the facets holding v."""
-    ridges = tuple(inside for inside, _ in _multiplex_walls(e, p + 1))
-    rows = tuple(mask_of(q for q, r in enumerate(ridges) if v in r) for v in range(p + 1))
-    return ridges, rows
+    table = tuple((f, tuple(t for t in range(size) if t not in f)) for f in facets)
+    rows = tuple(mask_of(q for q, f in enumerate(facets) if t in f) for t in range(size))
+    return table, rows
 
 
 def _walls(face: VertexSet, e: int) -> list[int]:
     """Wall masks of an e-face, seen as an e-multiplex on its own vertices:
     its ridges carried from position space to the face's labels."""
-    return [mask_of(face[t] for t in wall) for wall, _ in _multiplex_walls(e, len(face))]
+    return [mask_of(face[t] for t in wall) for wall, _ in _multiplex_walls(e, len(face))[0]]
 
 
 def verify_shelling_topological(
@@ -310,8 +298,11 @@ def verify_shelling_topological(
         # boundary.
         if not earlier:
             return True
-        covered = shelling_walls(cell, _multiplex_walls(e - 1, len(cell)), rows, earlier)
-        return covered is not None and extendable(e - 1, len(cell) - 1, 0, mask_of(covered))
+        table, _ = _multiplex_walls(e - 1, len(cell))
+        covered, stray = shelling_walls(cell, table, rows, earlier)
+        if not covered or stray:
+            return False
+        return extendable(e - 1, len(cell) - 1, 0, mask_of(covered))
 
     def extendable(e: int, p: int, placed: int, chosen: int) -> bool:
         # Can the ridges of ``placed`` (a bitmask of ridge indices) grow
@@ -325,11 +316,11 @@ def verify_shelling_topological(
         key = (e, p, placed, chosen if rest else None)
         if key in memo:
             return memo[key]
-        ridges, rows = _ridges(e, p)
-        candidates = set_bits(rest) if rest else range(len(ridges))
-        ok = placed.bit_count() == len(ridges) or any(
+        table, rows = _multiplex_walls(e, p + 1)
+        candidates = set_bits(rest) if rest else range(len(table))
+        ok = placed.bit_count() == len(table) or any(
             not placed >> f & 1
-            and fits(e, ridges[f], rows, placed)
+            and fits(e, table[f][0], rows, placed)
             and extendable(e, p, placed | 1 << f, chosen)
             for f in candidates
         )

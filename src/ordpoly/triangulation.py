@@ -13,9 +13,8 @@ principles and serves as the independent check on the U recursion.
 
 from __future__ import annotations
 
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import combinations
-from operator import and_
 from typing import NamedTuple, Sequence
 
 from .combinat import (
@@ -137,15 +136,10 @@ def shelling_restriction_faces(simplices: Sequence[VertexSet]) -> list[VertexSet
     for idx, simplex in enumerate(simplices):
         placed = (1 << idx) - 1
         vertices = sorted(simplex)
-        walls = _simplex_walls(len(vertices))
-        covered = shelling_walls(vertices, walls, rows, placed)
-        if covered is None:
-            if not any(
-                reduce(and_, (rows[vertices[t]] for t in wall), placed) for wall, _ in walls
-            ):
-                raise ValueError(
-                    f"step {idx + 1}: {simplex} meets no earlier simplex in a wall"
-                )
+        covered, stray = shelling_walls(vertices, _simplex_walls(len(vertices)), rows, placed)
+        if placed and not covered:
+            raise ValueError(f"step {idx + 1}: {simplex} meets no earlier simplex in a wall")
+        if stray:
             raise ValueError(
                 f"step {idx + 1}: {simplex} meets an earlier simplex "
                 "outside every covered wall"

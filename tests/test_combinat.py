@@ -318,8 +318,16 @@ class TestMasks:
             )
             for w in walls
         ]
-        assert shelling_walls(labels, table, rows, placed) == shelling_walls_by_scans(
-            cell, walls, earlier
+        covered, stray = shelling_walls(labels, table, rows, placed)
+        holds = (covered or not placed) and not stray
+        assert (covered if holds else None) == shelling_walls_by_scans(cell, walls, earlier)
+        # the stray cells, scanned: a nonempty meet inside no covered wall
+        scanned = [i for i, w in enumerate(walls) if any(w & ~e == 0 for e in earlier)]
+        assert covered == scanned
+        assert stray == mask_of(
+            i
+            for i, e in enumerate(earlier)
+            if cell & e and not any(cell & e & ~walls[c] == 0 for c in scanned)
         )
 
 
@@ -333,10 +341,14 @@ class TestWallTables:
     def test_multiplex_table_rebuilds_its_facets(self, e):
         sizes = [2] if e == 1 else range(e + 1, e + 9)
         for size in sizes:
-            table = _multiplex_walls(e, size)
+            table, rows = _multiplex_walls(e, size)
             facets = [(0,), (1,)] if e == 1 else multiplex_facets(e, size - 1)
             assert [inside for inside, _ in table] == facets
             assert all(splits(entry, size) for entry in table)
+            assert len(rows) == size
+            for t, row in enumerate(rows):
+                assert all((row >> q & 1) == (t in f) for q, f in enumerate(facets))
+                assert row >> len(facets) == 0
 
     @pytest.mark.parametrize("size", [1, 3, 4])
     def test_edge_table_refuses_other_sizes(self, size):

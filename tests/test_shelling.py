@@ -15,6 +15,7 @@ from ordpoly import shelling
 from ordpoly.combinat import Interval, Params, set_bits
 from ordpoly.lattice import build_face_lattice, rows_of
 from ordpoly.shelling import (
+    ShellingStep,
     StateBudgetError,
     boolean_interval_check,
     colex_shelling,
@@ -133,8 +134,8 @@ class TestPartition:
 
     @pytest.mark.parametrize("dkn", [(5, 6, 8), (5, 5, 8)])
     def test_a_dropped_or_repeated_step_names_the_counted_witness(self, dkn, bundles):
-        # Both faults fail the bitset test; the count behind it must name
-        # the first row covered a wrong number of times, as the oracle does.
+        # The one pass must name the first row covered a wrong number of
+        # times, as the oracle's count does.
         b = bundles(*dkn)
         steps = b.steps
         for j in range(len(steps)):
@@ -143,6 +144,14 @@ class TestPartition:
                 assert witness is not None
                 got = verify_shelling_partition(b.lattice, step_intervals(b.lattice, bad))
                 assert got == (False, witness), (j, len(bad))
+        # The last step's interval [F, F] widened to [F, top] = {F, top}
+        # meets every other row once, so the top is that row.
+        last, top = steps[-1], b.lattice.faces[-1]
+        assert last.new_face == last.facet
+        bad = [*steps[:-1], ShellingStep(last.index, top, last.facet)]
+        assert partition_witness_by_counting(b.lattice, bad) == top
+        got = verify_shelling_partition(b.lattice, step_intervals(b.lattice, bad))
+        assert got == (False, top)
 
 
 class TestBooleanIntervals:

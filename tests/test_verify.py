@@ -56,6 +56,14 @@ class TestVerifyInstance:
         assert by_name["multiplex_suite"].ok
         assert not by_name["multiplex_suite"].detail
 
+    @pytest.mark.parametrize("n", [2, 3, 7])
+    def test_polygons_pass_every_check(self, n):
+        # At d = 2 the topological search's cells are edges, whose walls
+        # come from the e = 1 table.
+        results = verify_instance(Params(2, 2, n))
+        assert [r.name for r in results] == list(CHECK_NAMES)
+        assert all(r.ok for r in results), [(r.name, r.detail) for r in results if not r.ok]
+
     def test_topological_shelling_runs_on_large_n(self):
         by_name = {r.name: r for r in verify_instance(Params(5, 6, 11))}
         assert by_name["topological_shelling"].ok
