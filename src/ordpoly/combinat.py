@@ -214,9 +214,17 @@ def mask_of(face: Iterable[int]) -> int:
 
 
 def set_bits(bits: int) -> list[int]:
-    """Indices of the set bits of a narrow nonnegative int, such as a vertex
-    mask, ascending; a lattice-wide row bitset goes through ``lattice.rows_of``."""
+    """Indices of the set bits of a nonnegative int, ascending.  Past 256
+    bits, as in a lattice-wide row bitset, one ``str.find`` scan of the
+    binary digits is faster than clearing the lowest bit per set bit."""
     out = []
+    if bits.bit_length() > 256:
+        digits = format(bits, "b")[::-1]
+        i = digits.find("1")
+        while i >= 0:
+            out.append(i)
+            i = digits.find("1", i + 1)
+        return out
     while bits:
         low = bits & -bits
         out.append(low.bit_length() - 1)

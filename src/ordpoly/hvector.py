@@ -4,8 +4,8 @@ The four routes: the toric g/h recursion over the whole face lattice, a
 closed binomial form, the modified-f-vector expansion, and the h-vector
 of the shallow boundary triangulation (module ``triangulation``).  Their
 exact agreement on every instance is the library's core claim.  The
-recursion runs once per class of lower intervals and sums g once per
-class of faces with the same dimension and g: one popcount per class.
+recursion runs once per class of lower intervals, adding up the g of
+the faces below by class: each class's count times its g.
 
 Also here: the fake-simplicial h' (from the shelling's new-face sizes or
 from the f-vector), and the per-step contributions a_j that measure
@@ -19,14 +19,17 @@ trailing zeros dropped.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
+from itertools import compress
 from math import comb
 from typing import Iterable, Sequence
 
-from .combinat import Params, VertexSet
-from .lattice import FaceLattice, rows_of
+from .combinat import Params, VertexSet, set_bits
+from .lattice import FaceLattice
 
 HVector = tuple[int, ...]
+_DIGIT_BYTES = bytes.maketrans(b"01", b"\0\1")  # binary digits as the bytes 0 and 1
 
 
 @lru_cache(maxsize=None)
@@ -57,51 +60,42 @@ def expand_x_minus_one(terms: Iterable[tuple[int, int, int]], d: int) -> HVector
 def toric_tables(lattice: FaceLattice) -> tuple[list[HVector], list[tuple[int, ...]]]:
     """h-vector and g-coefficients of (the boundary of) every face.
 
-    Faces are processed bottom-up; the g of a face only depends on faces
-    strictly below it, so one pass suffices: h of an e-face is the sum of
-    g_t(x) (x-1)^{e-1-t} over the t-faces strictly below it.  That sum
-    depends only on the isomorphism class of [empty, face], which the
-    lattice's exact class key fixes, so it runs at the first row of each
-    class and the other rows copy it.  Faces of the same dimension t and
-    the same g give the same term, so finished rows are kept as one
-    bitset per (t, g) class, and the sum over a down-set is one popcount
-    per class times that class's g.  Row 0 is the empty face, whose g is
-    1 by convention; row -1 is the top, whose h is the h-vector of the
-    polytope.
+    h of an e-face is the sum of g_t(x) (x-1)^{e-1-t} over the t-faces
+    strictly below it.  That sum depends only on the isomorphism class of
+    [empty, face], which the lattice's exact class key fixes, so it runs
+    once per class, at its first row: the faces below are counted by
+    class, each adding its count times its g.  Their classes have lower
+    first rows, so one pass over the classes in order has their g ready.
+    Row 0 is the empty face, whose g is 1 by convention; row -1 is the
+    top, whose h is the h-vector of the polytope.
 
     The recursion assumes an Eulerian lattice, which ``euler_check``
     judges; it does not test it.  h_0 is 1 on every lattice: the empty
     face lies below every face and gives (x-1)^e, and a t-face with
     t >= 0 has g_i only for i <= t/2, so its term has degree below e.
     """
-    dims = lattice.dims
-    count = len(dims)
-    h_list: list[HVector] = [()] * count
-    g_list: list[tuple[int, ...]] = [(1,)] * count
-    classes: dict[tuple[int, tuple[int, ...]], int] = {}  # (t, g) -> rows
-
-    for row in range(count):
-        e = dims[row]
-        rep = lattice._class_reps[lattice._class_of[row]]
-        if rep < row:
-            h_list[row], g_list[row] = h_list[rep], g_list[rep]
-        elif e == -1:
-            h_list[row] = (1,)
-        else:
-            below = lattice._below(row)  # the class bitsets hold finished rows only
-            terms = []
-            for (t, g_t), bits in classes.items():
-                if t < e:  # no face of dimension e lies below this one
-                    c = (below & bits).bit_count()
-                    if c:
-                        terms += [(c * gi, i, e - 1 - t) for i, gi in enumerate(g_t) if gi]
-            h_vec = expand_x_minus_one(terms, e)
-            g = [1] + [h_vec[i] - h_vec[i - 1] for i in range(1, e // 2 + 1)]
-            while g[-1] == 0:
-                g.pop()
-            h_list[row], g_list[row] = h_vec, tuple(g)
-        cls = (e, g_list[row])
-        classes[cls] = classes.get(cls, 0) | 1 << row
+    dims, class_of, reps = lattice.dims, lattice._class_of, lattice._class_reps
+    h_cls: list[HVector] = [(1,)]  # class 0 is the empty face's alone
+    g_cls: list[tuple[int, ...]] = [(1,)]
+    for y in reps[1:]:
+        e = dims[y]
+        # rows 0 .. y-1 of the down-set of y, as the bytes 0 and 1
+        below = format(lattice._below(y), "b")[:0:-1].encode().translate(_DIGIT_BYTES)
+        terms = [
+            (c * gi, i, e - 1 - dims[reps[b]])
+            for b, c in Counter(compress(class_of, below)).items()
+            for i, gi in enumerate(g_cls[b])
+            if gi
+        ]
+        h_vec = expand_x_minus_one(terms, e)
+        g = [1] + [h_vec[i] - h_vec[i - 1] for i in range(1, e // 2 + 1)]
+        while g[-1] == 0:
+            g.pop()
+        h_cls.append(h_vec)
+        g_cls.append(tuple(g))
+    h_list, g_list = [()] * len(class_of), [()] * len(class_of)  # no over-allocation
+    for row, c in enumerate(class_of):
+        h_list[row], g_list[row] = h_cls[c], g_cls[c]
     return h_list, g_list
 
 
@@ -205,7 +199,7 @@ def shelling_contributions(
     dims, masks = lattice.dims, lattice._masks
     for step, interval in zip(steps, intervals, strict=True):
         surplus = [0] * d  # vertex surplus over a simplex, by face dimension
-        for r in rows_of(interval):
+        for r in set_bits(interval):
             e = dims[r]
             if 0 <= e <= d - 1:
                 surplus[e] += masks[r].bit_count() - (e + 1)

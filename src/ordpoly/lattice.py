@@ -58,18 +58,6 @@ class FaceCapError(RuntimeError):
     so nothing was evaluated; not a mathematical failure."""
 
 
-def rows_of(bits: int) -> list[int]:
-    """The rows of a nonnegative row bitset, ascending: one ``str.find`` scan
-    of its digits, not ``combinat.set_bits``'s full-width arithmetic per row."""
-    digits = format(bits, "b")[::-1]
-    rows: list[int] = []
-    row = digits.find("1")
-    while row >= 0:
-        rows.append(row)
-        row = digits.find("1", row + 1)
-    return rows
-
-
 class _FaceRows(Sequence[VertexSet]):
     """The faces of a lattice by row, as vertex tuples built from the masks
     on each access; a slice gives a tuple of them."""
@@ -230,8 +218,8 @@ class FaceLattice:
     def _above(self, mask: int) -> int:
         """Bitset of the rows of all faces containing the vertex bitmask ``mask``.
 
-        Starts from every row, never from -1: ``rows_of`` reads only
-        nonnegative bitsets.
+        Starts from every row, never from -1: ``combinat.set_bits`` reads
+        only nonnegative bitsets.
         """
         if mask & ~self._masks[-1]:
             raise ValueError(f"{face_of(mask)} uses labels outside the vertex set")

@@ -32,7 +32,7 @@ from .combinat import (
     set_bits,
     shelling_walls,
 )
-from .lattice import FaceLattice, rows_of
+from .lattice import FaceLattice
 from .multiplex import multiplex_facets
 from .ordinary import enumerate_facets, lsh
 
@@ -219,7 +219,7 @@ def boolean_interval_check(lattice: FaceLattice, interval: int) -> bool:
     """
     if not interval:
         return False
-    rows = rows_of(interval)
+    rows = set_bits(interval)
     dims, masks = lattice.dims, lattice._masks
     # the interval's lowest row is its bottom and its highest its top
     bottom_dim = dims[rows[0]]

@@ -14,18 +14,19 @@ from itertools import combinations, zip_longest
 from typing import NamedTuple
 
 from .bijection import bijection_records, count_by_size, subset_to_facet
-from .combinat import Params, VertexSet, colex_key, face_of
+from .combinat import Params, VertexSet, colex_key, face_of, set_bits
 from .hvector import (
     HVector,
     contribution_total,
     h_closed_form,
     h_prime_from_f,
+    modified_f,
     multiplicial_h,
     new_face_counts,
     shelling_contributions,
     toric_tables,
 )
-from .lattice import FaceLattice, build_face_lattice, euler_witness, rows_of
+from .lattice import FaceLattice, build_face_lattice, euler_witness
 from .multiplex import (
     multiplex_boundary_triangulation,
     multiplex_facet,
@@ -173,7 +174,7 @@ def _check_eulerian(b: InstanceBundle) -> str:
     if witness is None:
         return ""
     bottom, top = witness
-    dims = [b.lattice.dims[r] for r in rows_of(b.lattice.interval(bottom, top))]
+    dims = [b.lattice.dims[r] for r in set_bits(b.lattice.interval(bottom, top))]
     even = sum(1 for e in dims if e % 2 == 0)
     return (
         f"Moebius condition fails: [{bottom}, {top}] holds {even} faces "
@@ -184,11 +185,15 @@ def _check_eulerian(b: InstanceBundle) -> str:
 def _check_facet_g(b: InstanceBundle) -> str:
     _, g_list = b.toric
     lattice = b.lattice
-    for f in b.facets:
-        got = g_list[lattice.index(f)]
-        want = multiplex_g(b.p.d - 1, len(f))
-        if got != want:
-            return f"facet {f}: g is {got}, multiplex form says {want}"
+    # A class shares its g and its size, and facet rows are in colex order
+    # as ``b.facets`` is, so the first failing representative is the first
+    # failing facet.
+    for y in lattice._class_reps:
+        if lattice.dims[y] == b.p.d - 1:
+            got = g_list[y]
+            want = multiplex_g(b.p.d - 1, lattice._masks[y].bit_count())
+            if got != want:
+                return f"facet {lattice.faces[y]}: g is {got}, multiplex form says {want}"
     # The topological shelling search takes every face's walls from the
     # multiplex formula; certify that premise on the faces of dimension
     # 2..d-1.  A class shares its renumbered down-set, hence its walls,
@@ -201,7 +206,7 @@ def _check_facet_g(b: InstanceBundle) -> str:
         face = lattice.faces[y]
         # rows of dimension e-1 are blocks[e]:blocks[e+1]
         block = (1 << blocks[e + 1]) - (1 << blocks[e])
-        covers = {masks[r] for r in rows_of(lattice._below(y) & block)}
+        covers = {masks[r] for r in set_bits(lattice._below(y) & block)}
         walls = set(_walls(face, e))
         if covers != walls:
             wall = min(covers ^ walls)
@@ -284,10 +289,7 @@ def _check_h_prime_routes(b: InstanceBundle) -> str:
 
 
 def _check_sum_h(b: InstanceBundle) -> str:
-    d = b.p.d
-    f = b.lattice.f_vector()
-    flag0 = b.lattice.flag_f0()
-    expected = f[d - 1] + (flag0[d - 2] - d * f[d - 1])
+    expected = modified_f(b.lattice.f_vector(), b.lattice.flag_f0())[-1]
     if sum(b.h) != expected:
         return f"sum h = {sum(b.h)}, modified top count = {expected}"
     return ""

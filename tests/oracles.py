@@ -20,7 +20,7 @@ from ordpoly.combinat import (
     set_bits,
 )
 from ordpoly.hvector import expand_x_minus_one
-from ordpoly.lattice import FaceCapError, rows_of
+from ordpoly.lattice import FaceCapError
 from ordpoly.multiplex import multiplex_facet, multiplex_facets
 from ordpoly.ordinary import _facet_generator_map, _shift_generators
 
@@ -157,7 +157,7 @@ def antistar_new_faces(bundle) -> list[tuple[int, ...] | None]:
     masks = [sum(1 << v for v in f) for f in facets]
     out = []
     for j, f in enumerate(facets):
-        rows = rows_of(lattice.interval((), f))
+        rows = set_bits(lattice.interval((), f))
         fresh = []
         for r in rows:
             face = lattice.faces[r]
@@ -186,7 +186,7 @@ def boolean_by_joins(lattice, bottom, top) -> bool:
     interval for the faces above it, and asks that the joins be pairwise
     distinct.
     """
-    rows = rows_of(lattice.interval(bottom, top))
+    rows = set_bits(lattice.interval(bottom, top))
     bottom_dim = lattice.dims[lattice.index(bottom)]
     c = lattice.dims[lattice.index(top)] - bottom_dim
     if len(rows) != 2**c:

@@ -21,6 +21,7 @@ from oracles import (
     interval_by_containment,
     lattice_carrier,
     order_by_containment,
+    toric_by_rows,
     walk_covers_and_depths,
 )
 from ordpoly.combinat import Params, colex_key, face_of, mask_of, set_bits
@@ -33,7 +34,6 @@ from ordpoly.lattice import (
     build_face_lattice,
     euler_check,
     euler_witness,
-    rows_of,
 )
 from ordpoly.ordinary import enumerate_facets
 from ordpoly.verify import grid_instances
@@ -168,7 +168,7 @@ class TestNotEulerian:
         for x, y in combinations(lattice.faces, 2):
             rank = lattice.dims[lattice.index(y)] - lattice.dims[lattice.index(x)]
             if set(x) < set(y) and rank == 2:
-                assert len(rows_of(lattice.interval(x, y))) == 4
+                assert len(set_bits(lattice.interval(x, y))) == 4
         assert not euler_check(lattice)
 
     def test_octahedron_minus_a_triangle(self):
@@ -186,7 +186,7 @@ class TestNotEulerian:
         lattice = build_face_lattice(*NOT_EULERIAN["edge_with_three_vertices"])
         assert lattice.f_vector() == (7, 12, 7)
         for face in lattice.faces[:-1]:
-            rows = rows_of(lattice.interval(face, lattice.top()))
+            rows = set_bits(lattice.interval(face, lattice.top()))
             even = sum(1 for r in rows if lattice.dims[r] % 2 == 0)
             assert 2 * even == len(rows)
         assert not euler_check(lattice)
@@ -397,6 +397,19 @@ class TestClassPass:
         self.assert_same_classes(closure_lattice(facets))
 
 
+class TestToricOnRandomClosures:
+    """``toric_tables`` adds up g by class, ``oracles.toric_by_rows`` row
+    by row.  Random closures include lattices that are not Eulerian and
+    lattices whose classes are told apart by wide covers."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(facet_lists())
+    @example(SAME_NARROW_COVERS)
+    def test_random_facet_lists(self, facets):
+        lattice = closure_lattice(facets)
+        assert toric_tables(lattice) == toric_by_rows(lattice)
+
+
 class TestDerivedOrder:
     """``_below`` and ``_above``, read off the vertex up-sets, against
     containment tested face by face."""
@@ -546,7 +559,7 @@ class TestIntervalAndDownset:
 
     def test_boolean_interval_of_step_13(self, b568):
         lattice = b568.lattice
-        rows = rows_of(lattice.interval((6, 7, 8), (0, 1, 2, 3, 6, 7, 8)))
+        rows = set_bits(lattice.interval((6, 7, 8), (0, 1, 2, 3, 6, 7, 8)))
         faces = {lattice.faces[r] for r in rows}
         assert faces == {
             (6, 7, 8),
@@ -557,16 +570,25 @@ class TestIntervalAndDownset:
 
 
 class TestRowsOf:
-    """``rows_of`` lists the rows of a row bitset as ``set_bits`` does."""
+    """``set_bits`` lists the rows of a row bitset as a plain bit-by-bit
+    scan does, on either side of the width where it changes its reader."""
+
+    @staticmethod
+    def bit_by_bit(bits):
+        return [i for i in range(bits.bit_length()) if bits >> i & 1]
 
     def test_no_row_and_the_top_row_alone(self, bundles):
         top = len(bundles(7, 9, 20).lattice) - 1
-        assert rows_of(0) == set_bits(0) == []
-        assert rows_of(1 << top) == set_bits(1 << top) == [top]
+        assert set_bits(0) == []
+        assert set_bits(1 << top) == [top]
+        for width in (255, 256, 257):
+            for bits in ((1 << width) - 1, 1 << width - 1, 0b1011 << width - 4):
+                assert bits.bit_length() == width
+                assert set_bits(bits) == self.bit_by_bit(bits), (width, bits)
 
     def test_every_step_interval(self, bundles):
         for bits in bundles(7, 9, 20).step_intervals:
-            assert rows_of(bits) == set_bits(bits)
+            assert set_bits(bits) == self.bit_by_bit(bits)
 
 
 class TestValidation:

@@ -13,7 +13,7 @@ from oracles import (
 )
 from ordpoly import shelling
 from ordpoly.combinat import Interval, Params, set_bits
-from ordpoly.lattice import build_face_lattice, rows_of
+from ordpoly.lattice import build_face_lattice
 from ordpoly.shelling import (
     ShellingStep,
     StateBudgetError,
@@ -187,7 +187,7 @@ class TestBooleanIntervals:
         # above the same atoms, so it is not Boolean.
         lattice = build_face_lattice([f for f in b568.facets if f != (0, 1, 3, 4, 6, 7)], 5)
         bottom, top = (3, 6), (0, 1, 2, 3, 6, 7, 8)
-        rows = rows_of(lattice.interval(bottom, top))
+        rows = set_bits(lattice.interval(bottom, top))
         assert len(rows) == 8
         assert [lattice.dims[r] for r in rows].count(lattice.dims[lattice.index(bottom)] + 1) == 3
         assert not boolean_by_joins(lattice, bottom, top)

@@ -1,12 +1,13 @@
 """The cross-check harness itself: grid composition and failure reporting."""
 
+from itertools import combinations
 from types import SimpleNamespace
 
 import pytest
 
 from oracles import NOT_EULERIAN
 from ordpoly import bijection, lattice, shelling, triangulation, verify
-from ordpoly.combinat import Params
+from ordpoly.combinat import Interval, Params, is_gale
 from ordpoly.hvector import toric_tables
 from ordpoly.verify import CHECK_NAMES, grid_instances, verify_instance
 
@@ -240,4 +241,20 @@ class TestWitnesses:
                    (2, 3, 6, 7), (0, 3, 4, 7)]
         assert verify._check_facet_g(cube_bundle(squares)) == (
             "face (0, 1, 2, 3): the 2-multiplex wall (0, 2) is not a wall of the face"
+        )
+
+    def test_facet_g_refuses_a_pyramid_over_a_cyclic_polytope(self):
+        # the pyramid over C(4,7) is Eulerian, but its base, a facet with
+        # seven vertices, has the g of C(4,7), not that of the 4-multiplex
+        base = tuple(range(7))
+        gale = [f for f in combinations(base, 4) if is_gale(f, Interval(0, 6))]
+        facets = [base] + [f + (7,) for f in gale]
+        pyramid = lattice.build_face_lattice(facets, 5)
+        assert (len(facets), len(pyramid)) == (15, 144)
+        assert lattice.euler_check(pyramid)
+        bad = SimpleNamespace(
+            p=SimpleNamespace(d=5), facets=facets, lattice=pyramid, toric=toric_tables(pyramid)
+        )
+        assert verify._check_facet_g(bad) == (
+            "facet (0, 1, 2, 3, 4, 5, 6): g is (1, 2, 3), multiplex form says (1, 2)"
         )
