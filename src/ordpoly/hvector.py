@@ -13,8 +13,8 @@ h - h', computed by two routes that must agree.
 
 Every coefficient vector is a plain int tuple.  h, h', a_j and the
 modified f-vector transform use the h alignment: entry i is the
-coefficient of x^{d-i}.  A toric g row is ascending, g_i at x^i, with
-trailing zeros dropped.
+coefficient of x^{d-i}.  A class's toric g is ascending, g_i at x^i,
+with trailing zeros dropped.
 """
 
 from __future__ import annotations
@@ -58,16 +58,16 @@ def expand_x_minus_one(terms: Iterable[tuple[int, int, int]], d: int) -> HVector
 
 
 def toric_tables(lattice: FaceLattice) -> tuple[list[HVector], list[tuple[int, ...]]]:
-    """h-vector and g-coefficients of (the boundary of) every face.
+    """h-vector and g-coefficients of (the boundary of) each face, per class.
 
     h of an e-face is the sum of g_t(x) (x-1)^{e-1-t} over the t-faces
     strictly below it.  That sum depends only on the isomorphism class of
-    [empty, face], which the lattice's exact class key fixes, so it runs
-    once per class, at its first row: the faces below are counted by
-    class, each adding its count times its g.  Their classes have lower
-    first rows, so one pass over the classes in order has their g ready.
-    Row 0 is the empty face, whose g is 1 by convention; row -1 is the
-    top, whose h is the h-vector of the polytope.
+    [empty, face], which the lattice's exact class key fixes, so entry c
+    belongs to the class with first row ``lattice._class_reps[c]``.  The faces
+    below are counted by class, each adding its count times its g; their
+    classes have lower first rows, so one pass in class order has their g
+    ready.  Class 0 is the empty face alone, whose g is 1 by convention;
+    the last class is the top alone, whose h is the polytope's h-vector.
 
     The recursion assumes an Eulerian lattice, which ``euler_check``
     judges; it does not test it.  h_0 is 1 on every lattice: the empty
@@ -93,10 +93,7 @@ def toric_tables(lattice: FaceLattice) -> tuple[list[HVector], list[tuple[int, .
             g.pop()
         h_cls.append(h_vec)
         g_cls.append(tuple(g))
-    h_list, g_list = [()] * len(class_of), [()] * len(class_of)  # no over-allocation
-    for row, c in enumerate(class_of):
-        h_list[row], g_list[row] = h_cls[c], g_cls[c]
-    return h_list, g_list
+    return h_cls, g_cls
 
 
 # -- closed form ----------------------------------------------------------

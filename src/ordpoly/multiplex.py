@@ -89,8 +89,8 @@ def multiplex_boundary_triangulation(d: int, n: int) -> list[BoundarySimplex]:
 def multiplex_g(e: int, v: int) -> tuple[int, ...]:
     """Toric g coefficients of an e-dimensional multiplex with v vertices.
 
-    g = 1 + (v-1-e)x, ascending without trailing zeros like the rows of
-    ``hvector.toric_tables``; so (1,) for a simplex (v = e+1).
+    g = 1 + (v-1-e)x, ascending without trailing zeros like the per-class
+    g of ``hvector.toric_tables``; so (1,) for a simplex (v = e+1).
     """
     if v < e + 1:
         raise ValueError(f"an {e}-dimensional multiplex needs >= {e + 1} vertices")

@@ -18,18 +18,17 @@ from itertools import combinations
 from typing import NamedTuple, Sequence
 
 from .combinat import (
-    Interval,
     Params,
     VertexSet,
     WallTable,
     colex_sorted,
     face_of,
-    is_gale,
     mask_of,
     shelling_walls,
 )
 from .hvector import HVector, new_face_counts
 from .lattice import FaceLattice
+from .ordinary import _gale_facets
 from .shelling import ShellingStep, colex_shelling
 
 
@@ -53,8 +52,7 @@ def boundary_triangulation(p: Params) -> list[VertexSet]:
     by i into each window.
     """
     d, k, n = p.d, p.k, p.n
-    shape = Interval(0, k)
-    gale = [sub for sub in combinations(shape.members(), d) if is_gale(sub, shape)]
+    gale = _gale_facets(Params(d, k, k))
     out: set[VertexSet] = set()
     for i in range(n - k + 1):
         for sub in gale:

@@ -106,7 +106,7 @@ class InstanceBundle:
         return triangulation_shelling(self.p, self.steps)
 
     @cached_property
-    def toric(self) -> tuple[list[HVector], list[tuple[int, ...]]]:
+    def toric(self) -> tuple[list[HVector], list[tuple[int, ...]]]:  # h, g per class
         return toric_tables(self.lattice)
 
     @property
@@ -188,9 +188,9 @@ def _check_facet_g(b: InstanceBundle) -> str:
     # A class shares its g and its size, and facet rows are in colex order
     # as ``b.facets`` is, so the first failing representative is the first
     # failing facet.
-    for y in lattice._class_reps:
+    for c, y in enumerate(lattice._class_reps):
         if lattice.dims[y] == b.p.d - 1:
-            got = g_list[y]
+            got = g_list[c]
             want = multiplex_g(b.p.d - 1, lattice._masks[y].bit_count())
             if got != want:
                 return f"facet {lattice.faces[y]}: g is {got}, multiplex form says {want}"

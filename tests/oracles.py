@@ -3,7 +3,8 @@
 These are deliberately written against the definitions only, with none of
 the library's run/shift machinery in the loop, so they can arbitrate.  The
 one exception is ``rsh``, the right shift of one facet, which the tests of
-the shift itself call and no library code does.
+the shift itself call and no library code does.  ``assert_toric_by_rows``
+holds the library's per-class toric tables against ``toric_by_rows``.
 """
 
 from itertools import combinations
@@ -19,7 +20,7 @@ from ordpoly.combinat import (
     mask_of,
     set_bits,
 )
-from ordpoly.hvector import expand_x_minus_one
+from ordpoly.hvector import expand_x_minus_one, toric_tables
 from ordpoly.lattice import FaceCapError
 from ordpoly.multiplex import multiplex_facet, multiplex_facets
 from ordpoly.ordinary import _facet_generator_map, _shift_generators
@@ -388,6 +389,15 @@ def toric_by_rows(lattice) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]
             g.pop()
         h_list[row], g_list[row] = h, tuple(g)
     return h_list, g_list
+
+
+def assert_toric_by_rows(lattice) -> None:
+    """``toric_tables`` holds one h and one g per class, and read through
+    each row's class they are ``toric_by_rows`` row for row."""
+    tables = toric_tables(lattice)
+    assert [len(t) for t in tables] == [len(lattice._class_reps)] * 2
+    by_class = tuple([t[c] for c in lattice._class_of] for t in tables)
+    assert by_class == toric_by_rows(lattice)
 
 
 def closure_by_levels(

@@ -13,6 +13,7 @@ from oracles import (
     PRISMS_SHARING_AN_EDGE_AND_A_VERTEX,
     SAME_NARROW_COVERS,
     SAME_RENUMBERED_COVERS,
+    assert_toric_by_rows,
     carrier_by_facets,
     classes_by_full_key,
     closure_by_levels,
@@ -21,7 +22,6 @@ from oracles import (
     interval_by_containment,
     lattice_carrier,
     order_by_containment,
-    toric_by_rows,
     walk_covers_and_depths,
 )
 from ordpoly.combinat import Params, colex_key, face_of, mask_of, set_bits
@@ -374,6 +374,11 @@ class TestClassPass:
     @staticmethod
     def assert_same_classes(lattice):
         assert (lattice._class_of, lattice._class_reps) == classes_by_full_key(lattice)
+        # the empty face is alone in class 0 and the top alone in the last
+        # class, where ``InstanceBundle.h`` reads the polytope's h
+        top = len(lattice._class_reps) - 1
+        assert lattice._class_of[0] == 0 and lattice._class_of.count(0) == 1
+        assert lattice._class_of[-1] == top and lattice._class_of.count(top) == 1
 
     def test_grid(self, bundles):
         for p in grid_instances():
@@ -406,8 +411,7 @@ class TestToricOnRandomClosures:
     @given(facet_lists())
     @example(SAME_NARROW_COVERS)
     def test_random_facet_lists(self, facets):
-        lattice = closure_lattice(facets)
-        assert toric_tables(lattice) == toric_by_rows(lattice)
+        assert_toric_by_rows(closure_lattice(facets))
 
 
 class TestDerivedOrder:
