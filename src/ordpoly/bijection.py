@@ -22,7 +22,6 @@ from .combinat import (
     VertexSet,
     even_positions,
     maximal_runs,
-    run_containing,
 )
 from .ordinary import enumerate_facets
 from .shelling import ShellingStep, minimal_new_face_nonrecursive
@@ -72,7 +71,8 @@ def decompose_step_simplex(simplex: VertexSet, p: Params) -> BijectionRecord:
         raise ValueError(f"{simplex}: bottom block would be empty")
     if n - k in simplex:
         raise ValueError(f"{simplex}: must omit n-k")
-    if run_containing(simplex, b) != Interval(b, n - k - 1):
+    runs = maximal_runs(simplex)
+    if runs[0] != Interval(b, n - k - 1):
         raise ValueError(f"{simplex}: bottom block is not [b, n-k-1]")
     e = b + k - 1 if a1 % 2 == 1 else b + k
     top_block = Interval(e, b + k)
@@ -80,7 +80,7 @@ def decompose_step_simplex(simplex: VertexSet, p: Params) -> BijectionRecord:
         raise ValueError(f"{simplex}: top block must cover [{e}, {b + k}]")
     middle = [v for v in simplex if n - k < v < e]
     if middle and middle[0] == n - k + 1:
-        c = run_containing(simplex, n - k + 1).hi
+        c = next(run.hi for run in runs if n - k + 1 in run)
     else:
         c = n - k
     y = tuple(v for v in middle if v > c)

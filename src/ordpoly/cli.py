@@ -192,10 +192,7 @@ def _run_bijection(b: InstanceBundle, args) -> tuple[int, str]:
 
 def _run_hvector(b: InstanceBundle, args) -> tuple[int, str]:
     p, method = b.p, args.method or "all"
-    try:
-        routes = h_routes(b, method)
-    except ValueError as exc:
-        return 2, f"error: {exc}"
+    routes = h_routes(b, method)
     agree = len(set(routes.values())) == 1
     code = 0 if agree else 1
     if args.format == "json":
@@ -318,14 +315,13 @@ def main(argv=None) -> int:
         print(f"not evaluated: {exc}", file=sys.stderr)
         return 3
 
-    stream = sys.stderr if code == 2 else sys.stdout
     try:
-        print(out, file=stream)
-        stream.flush()
+        print(out)
+        sys.stdout.flush()
     except BrokenPipeError:
         # The reader stopped early (``| head``): drop the rest, and point
         # the stream at devnull so the flush at exit cannot fail again.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

@@ -131,14 +131,6 @@ def maximal_runs(face: VertexSet) -> list[Interval]:
     return runs
 
 
-def run_containing(face: VertexSet, v: int) -> Interval:
-    """The maximal run of consecutive labels of ``face`` that contains v."""
-    for run in maximal_runs(face):
-        if v in run:
-            return run
-    raise ValueError(f"{v} is not in {face}")
-
-
 def even_positions(iv: Interval) -> VertexSet:
     """Second, fourth, ... elements of the interval: {lo+1, lo+3, ...}."""
     return tuple(range(iv.lo + 1, iv.hi + 1, 2))

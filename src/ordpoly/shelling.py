@@ -28,7 +28,6 @@ from .combinat import (
     even_positions,
     mask_of,
     maximal_runs,
-    run_containing,
     set_bits,
     shelling_walls,
 )
@@ -77,23 +76,23 @@ def decompose_facet(face: VertexSet, p: Params) -> FaceDecomposition:
         return FaceDecomposition(face[:-1], (), Interval(mx, mx))
 
     runs = maximal_runs(face)
+    run_of = {v: run for run in runs for v in run.members()}
     tail = runs[-1] if mx == n else None
     anchored_runs: list[Interval] = []
     if mx <= k - 1:
-        if 0 not in face:
+        if 0 not in run_of:
             raise ValueError(f"{face}: low facet must contain 0")
-        anchored_runs.append(run_containing(face, 0))
+        anchored_runs.append(run_of[0])
     elif mx <= n - 1:
-        if mx - k not in face:
+        if mx - k not in run_of:
             raise ValueError(f"{face}: expected {mx - k} in a middle facet")
-        anchored_runs.append(run_containing(face, mx - k))
-        if mx - k + 2 in face:
-            second = run_containing(face, mx - k + 2)
-            if second not in anchored_runs:
-                anchored_runs.append(second)
+        anchored_runs.append(run_of[mx - k])
+        second = run_of.get(mx - k + 2)
+        if second is not None and second not in anchored_runs:
+            anchored_runs.append(second)
     else:
-        if n - k in face:
-            anchored_runs.append(run_containing(face, n - k))
+        if n - k in run_of:
+            anchored_runs.append(run_of[n - k])
     if tail is not None and tail in anchored_runs:
         raise ValueError(f"{face}: anchored run collides with the tail run")
 
@@ -135,27 +134,41 @@ def _cyclic_new_face(face: VertexSet, p: Params) -> VertexSet:
     return tuple(sorted(out))
 
 
-@lru_cache(maxsize=None)
+# G_j of the recursive route by (facet, d, k, level), kept for the whole
+# process: a shelling asks once per facet, and instances with consecutive
+# n share their chains.
+_RECURSIVE_NEW_FACES: dict[tuple[VertexSet, int, int, int], VertexSet] = {}
+
+
 def minimal_new_face_recursive(face: VertexSet, p: Params) -> VertexSet:
     """G_j by reduction to the cyclic base through left shifts.
 
     A facet not touching the top two labels is already a facet of the
-    polytope one size down; otherwise its left shift is, and the new face
-    shifts back up with it.  The first step repeats until the facet
-    reaches the top two labels or n = k, so it jumps there at once.
+    polytope one size down, so the walk starts at level
+    max(k, max F + 1) when that is below n.  From there each left shift
+    gives a facet one level down that touches the top two labels again;
+    the walk goes down until a memoised level or the cyclic base n = k,
+    then climbs back, shifting the new face up by one per level.
     """
-    d, k, n = p.d, p.k, p.n
-    if n == k:
-        return _cyclic_new_face(face, p)
-    if face[-1] <= n - 2:
-        return minimal_new_face_recursive(face, Params(d, k, max(k, face[-1] + 1)))
-    below = minimal_new_face_recursive(lsh(face, p), Params(d, k, n - 1))
-    if not below:
-        # The left shift hit the colex-first facet, whose new face is
-        # empty; this only happens in multiplex mode at n = d+1, where
+    d, k = p.d, p.k
+    level = max(k, min(p.n, face[-1] + 1))
+    chain: list[VertexSet] = []
+    while (face, d, k, level) not in _RECURSIVE_NEW_FACES and level > k:
+        chain.append(face)
+        face = lsh(face, Params(d, k, level))
+        level -= 1
+    key = (face, d, k, level)
+    if key not in _RECURSIVE_NEW_FACES:
+        _RECURSIVE_NEW_FACES[key] = _cyclic_new_face(face, Params(d, k, k))
+    new = _RECURSIVE_NEW_FACES[key]
+    for face in reversed(chain):
+        level += 1
+        # An empty face below means the left shift hit the colex-first
+        # facet; this only happens in multiplex mode at n = d+1, where
         # the correct new face is the top vertex alone.
-        return (face[-1],)
-    return tuple(v + 1 for v in below)
+        new = tuple(v + 1 for v in new) if new else (face[-1],)
+        _RECURSIVE_NEW_FACES[face, d, k, level] = new
+    return new
 
 
 def colex_shelling(p: Params) -> list[ShellingStep]:
@@ -254,10 +267,12 @@ def _multiplex_walls(e: int, size: int) -> tuple[WallTable, tuple[int, ...]]:
     """Walls of the e-multiplex on ``size`` vertices, by position: per
     facet, (positions inside it, positions outside it); and per position
     t the bitset of the facets holding t.  For e = 1 the facets are the
-    two ends of an edge."""
+    two ends of an edge, and e = 0 has one empty wall.  With size = e+1
+    the multiplex is a simplex: F_i omits position i for 0 < i < e, F_0
+    omits e and F_e omits 0."""
     if e == 1 and size != 2:
         raise ValueError(f"a 1-face has exactly 2 vertices, got {size}")
-    facets = [(0,), (1,)] if e == 1 else multiplex_facets(e, size - 1)
+    facets = [()] if e == 0 else [(0,), (1,)] if e == 1 else multiplex_facets(e, size - 1)
     table = tuple((f, tuple(t for t in range(size) if t not in f)) for f in facets)
     rows = tuple(mask_of(q for q, f in enumerate(facets) if t in f) for t in range(size))
     return table, rows

@@ -13,14 +13,12 @@ principles and serves as the independent check on the U recursion.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import combinations
 from typing import NamedTuple, Sequence
 
 from .combinat import (
     Params,
     VertexSet,
-    WallTable,
     colex_sorted,
     face_of,
     mask_of,
@@ -29,7 +27,7 @@ from .combinat import (
 from .hvector import HVector, new_face_counts
 from .lattice import FaceLattice
 from .ordinary import _gale_facets
-from .shelling import ShellingStep, colex_shelling
+from .shelling import ShellingStep, _multiplex_walls, colex_shelling
 
 
 class TriangulationStep(NamedTuple):
@@ -112,13 +110,6 @@ def simplicial_h(steps: Sequence, d: int) -> HVector:
     return new_face_counts((s.new_face for s in steps), d)
 
 
-@lru_cache(maxsize=None)
-def _simplex_walls(size: int) -> WallTable:
-    """Walls of a simplex on ``size`` vertices, by position: entry i is
-    (every position but i, (i,))."""
-    return tuple((tuple(t for t in range(size) if t != i), (i,)) for i in range(size))
-
-
 def shelling_restriction_faces(simplices: Sequence[VertexSet]) -> list[VertexSet]:
     """Restriction faces of an ordered pure simplicial complex.
 
@@ -127,14 +118,17 @@ def shelling_restriction_faces(simplices: Sequence[VertexSet]) -> list[VertexSet
     way: past the first step some wall must be covered, and every
     intersection with an earlier simplex must sit inside a covered wall.
     Each vertex keeps the bitset of the simplices placed so far that hold
-    it, so a step reads the rows of its own vertices only.
+    it, so a step reads the rows of its own vertices only.  A simplex on
+    s vertices is the (s-1)-multiplex on s vertices, so its walls come
+    from that table, each wall leaving out one position.
     """
     rows = [0] * (max((v for s in simplices for v in s), default=-1) + 1)
     out: list[VertexSet] = []
     for idx, simplex in enumerate(simplices):
         placed = (1 << idx) - 1
         vertices = sorted(simplex)
-        covered, stray = shelling_walls(vertices, _simplex_walls(len(vertices)), rows, placed)
+        walls, _ = _multiplex_walls(len(vertices) - 1, len(vertices))
+        covered, stray = shelling_walls(vertices, walls, rows, placed)
         if placed and not covered:
             raise ValueError(f"step {idx + 1}: {simplex} meets no earlier simplex in a wall")
         if stray:
@@ -142,7 +136,7 @@ def shelling_restriction_faces(simplices: Sequence[VertexSet]) -> list[VertexSet
                 f"step {idx + 1}: {simplex} meets an earlier simplex "
                 "outside every covered wall"
             )
-        out.append(tuple(vertices[i] for i in covered))
+        out.append(tuple(sorted(vertices[t] for i in covered for t in walls[i][1])))
         for v in simplex:
             rows[v] |= 1 << idx
     return out

@@ -22,14 +22,13 @@ from ordpoly.combinat import (
     maximal_runs,
     paired_subsets,
     retract,
-    run_containing,
     set_bits,
     shelling_walls,
 )
 from ordpoly.bijection import BijectionRecord
 from ordpoly.multiplex import BoundarySimplex, multiplex_facets
 from ordpoly.shelling import FaceDecomposition, ShellingStep, _multiplex_walls
-from ordpoly.triangulation import TriangulationStep, _simplex_walls
+from ordpoly.triangulation import TriangulationStep
 from ordpoly.verify import CheckResult
 
 
@@ -168,11 +167,6 @@ class TestRuns:
     def test_example(self):
         runs = maximal_runs((0, 1, 2, 4, 5, 7, 8))
         assert runs == [Interval(0, 2), Interval(4, 5), Interval(7, 8)]
-
-    def test_run_containing(self):
-        assert run_containing((0, 1, 2, 4, 5), 4) == Interval(4, 5)
-        with pytest.raises(ValueError):
-            run_containing((0, 1), 5)
 
     @given(st.sets(st.integers(0, 40), max_size=15))
     def test_partition(self, face):
@@ -357,9 +351,13 @@ class TestWallTables:
 
     @pytest.mark.parametrize("size", range(1, 13))
     def test_simplex_table_rebuilds_the_simplex_walls(self, size):
-        table = _simplex_walls(size)
-        assert [mask_of(inside) for inside, _ in table] == simplex_walls((1 << size) - 1)
-        assert [outside for _, outside in table] == [(i,) for i in range(size)]
+        # The (size-1)-multiplex on size vertices is the simplex; its walls
+        # come as a set, since F_0 omits the last position and F_e the first.
+        table, _ = _multiplex_walls(size - 1, size)
+        walls = [mask_of(inside) for inside, _ in table]
+        assert len(walls) == size
+        assert set(walls) == set(simplex_walls((1 << size) - 1))
+        assert all(len(outside) == 1 for _, outside in table)
         assert all(splits(entry, size) for entry in table)
 
 

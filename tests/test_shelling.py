@@ -65,6 +65,7 @@ class TestNewFaceRoutes:
         [
             (5, 6, 8), (5, 6, 6), (5, 7, 9), (7, 9, 11), (5, 5, 9), (4, 4, 7),
             (6, 6, 9), (5, 6, 120), (9, 11, 40), (5, 5, 60), (6, 6, 40),
+            (3, 3, 600), (2, 2, 600),
         ],
     )
     def test_recursive_equals_nonrecursive(self, dkn, bundles):
@@ -73,13 +74,13 @@ class TestNewFaceRoutes:
             assert minimal_new_face_recursive(step.facet, b.p) == step.new_face
 
     def test_recursion_skips_the_levels_a_facet_passes(self, bundles):
-        # Walking down one n at a time costs 14 490 misses here; a facet
-        # below the top two labels jumps to n = max(k, max F + 1) instead.
+        # Walking down one n at a time memoises 14 490 levels here; a facet
+        # below the top two labels starts at n = max(k, max F + 1) instead.
         b = bundles(5, 6, 120)
-        minimal_new_face_recursive.cache_clear()
+        shelling._RECURSIVE_NEW_FACES.clear()
         for step in b.steps:
             minimal_new_face_recursive(step.facet, b.p)
-        assert minimal_new_face_recursive.cache_info().misses < 3000
+        assert len(shelling._RECURSIVE_NEW_FACES) < 3000
 
     @pytest.mark.parametrize("dkn", [(5, 6, 8), (5, 7, 9), (5, 5, 8), (4, 4, 7)])
     def test_antistar_oracle(self, dkn, bundles):

@@ -201,6 +201,28 @@ class TestVerifyInstance:
         assert len(calls) <= 2
 
 
+# Each row breaks one route as ``verify`` imports it, so exactly the check
+# that compares that route with another must fail.
+BROKEN_ROUTES = [
+    ("facets_by_recursion", lambda real: lambda p: real(p)[:-1], "facet_routes"),
+    ("boundary_triangulation", lambda real: lambda p: real(p)[:-1], "triangulation_cover"),
+    (
+        "shelling_restriction_faces",
+        lambda real: lambda simplices: real(simplices)[:-1] + [()],
+        "triangulation_oracle",
+    ),
+    ("lsh", lambda real: lambda f, p: tuple(v + 1 for v in real(f, p)), "lsh_monotone"),
+    ("subset_to_facet", lambda real: lambda a, p, i: real(a, p, i)[::-1], "bijection_roundtrip"),
+]
+
+
+@pytest.mark.parametrize("name, broken, check", BROKEN_ROUTES, ids=[r[0] for r in BROKEN_ROUTES])
+def test_a_broken_route_fails_its_own_check(name, broken, check, monkeypatch):
+    monkeypatch.setattr(verify, name, broken(getattr(verify, name)))
+    failed = {r.name for r in verify_instance(Params(5, 6, 10)) if not r.ok}
+    assert failed == {check}
+
+
 class TestWitnesses:
     def test_eulerian_failure_names_the_interval(self):
         bad = SimpleNamespace(lattice=lattice.build_face_lattice(*NOT_EULERIAN["k4_edges"]))
