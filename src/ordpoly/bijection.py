@@ -184,14 +184,15 @@ def subset_to_facet(a_set: VertexSet, p: Params, i: int) -> VertexSet:
     return simplex
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def increment_steps(p: Params) -> tuple[TriangulationStep, ...]:
     """Steps whose shelled facet has maximum n-1: the h-growth witnesses.
 
     Only those facets get a shelling step, with its index in the colex
     order and its nonrecursive new face, and only their windows are
-    triangulated.  Built once per instance: every size i of
-    ``count_by_size`` and ``bijection_records`` reads the same steps.
+    triangulated.  Built once per instance and held for the instance of
+    the latest call alone: every size i of ``count_by_size`` and
+    ``bijection_records`` reads the same steps.
     """
     _require_stable(p)
     steps = [

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .combinat import (
     Interval,
@@ -55,8 +55,7 @@ def _generator_windows(p: Params):
                 yield tuple([x + i for x in gen])
 
 
-@lru_cache(maxsize=None)
-def _facet_generator_map(p: Params) -> GeneratorMap:
+def _generator_map(p: Params) -> GeneratorMap:
     """Map each facet to every raw generator that retracts onto it."""
     d, n = p.d, p.n
     if p.is_multiplex and (d % 2 == 0 or d < 5):
@@ -72,6 +71,25 @@ def _facet_generator_map(p: Params) -> GeneratorMap:
         if len(facet) >= d:
             out.setdefault(facet, []).append(gen)
     return out
+
+
+@lru_cache(maxsize=1)
+def _family_maps(d: int, k: int) -> Callable[[int], GeneratorMap]:
+    """The generator maps of the family (d, k) by n, four at most.
+
+    One family at a time, so a process keeps the maps of its current
+    instance only.  ``verify_instance`` reads the maps of p, the cyclic
+    base n = k, p, n-1 and, when the bijection applies, p again.  The
+    next n reads its own map, the base and p, so four slots build one map
+    per instance along a family, as a memo for the whole process would:
+    50 over the grid in order, against 74 with three slots.
+    """
+    return lru_cache(maxsize=4)(lambda n: _generator_map(Params(d, k, n)))
+
+
+def _facet_generator_map(p: Params) -> GeneratorMap:
+    """The generator map of p, held while p's family is the current one."""
+    return _family_maps(p.d, p.k)(p.n)
 
 
 def enumerate_facets(p: Params) -> list[VertexSet]:

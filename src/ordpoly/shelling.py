@@ -134,10 +134,13 @@ def _cyclic_new_face(face: VertexSet, p: Params) -> VertexSet:
     return tuple(sorted(out))
 
 
-# G_j of the recursive route by (facet, d, k, level), kept for the whole
-# process: a shelling asks once per facet, and instances with consecutive
-# n share their chains.
-_RECURSIVE_NEW_FACES: dict[tuple[VertexSet, int, int, int], VertexSet] = {}
+@lru_cache(maxsize=1)
+def _recursive_memo(p: Params) -> dict[tuple[VertexSet, int], VertexSet]:
+    """The recursive route's G_j by (facet, level), for the instance p of
+    the latest call alone.  A shelling asks once per facet and its facets
+    share their chains, so the memo lives as long as the instance does; a
+    call for another instance starts an empty one."""
+    return {}
 
 
 def minimal_new_face_recursive(face: VertexSet, p: Params) -> VertexSet:
@@ -147,27 +150,28 @@ def minimal_new_face_recursive(face: VertexSet, p: Params) -> VertexSet:
     polytope one size down, so the walk starts at level
     max(k, max F + 1) when that is below n.  From there each left shift
     gives a facet one level down that touches the top two labels again;
-    the walk goes down until a memoised level or the cyclic base n = k,
-    then climbs back, shifting the new face up by one per level.
+    the walk goes down until a level memoised for this instance or the
+    cyclic base n = k, then climbs back, shifting the new face up by one
+    per level.
     """
     d, k = p.d, p.k
+    memo = _recursive_memo(p)
     level = max(k, min(p.n, face[-1] + 1))
     chain: list[VertexSet] = []
-    while (face, d, k, level) not in _RECURSIVE_NEW_FACES and level > k:
+    while (face, level) not in memo and level > k:
         chain.append(face)
         face = lsh(face, Params(d, k, level))
         level -= 1
-    key = (face, d, k, level)
-    if key not in _RECURSIVE_NEW_FACES:
-        _RECURSIVE_NEW_FACES[key] = _cyclic_new_face(face, Params(d, k, k))
-    new = _RECURSIVE_NEW_FACES[key]
+    if (face, level) not in memo:
+        memo[face, level] = _cyclic_new_face(face, Params(d, k, k))
+    new = memo[face, level]
     for face in reversed(chain):
         level += 1
         # An empty face below means the left shift hit the colex-first
         # facet; this only happens in multiplex mode at n = d+1, where
         # the correct new face is the top vertex alone.
         new = tuple(v + 1 for v in new) if new else (face[-1],)
-        _RECURSIVE_NEW_FACES[face, d, k, level] = new
+        memo[face, level] = new
     return new
 
 

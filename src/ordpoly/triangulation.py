@@ -150,18 +150,21 @@ def shallowness_check(
     Only the faces with 2 dim sigma < d are listed: a carrier is a face of
     the polytope, of dimension at most d, so a larger face cannot fail.
     Nor can a face sigma of the polytope, which is its own carrier: those
-    found among the faces of dimension |sigma|-1 get no carrier.
+    found among the faces of dimension |sigma|-1 get no carrier.  The
+    faces of one size are listed, tested and dropped before the next, so
+    the largest set held is that of one size.
     Returns (True, None) or (False, the first failing face in sorted order).
     """
     largest = (lattice.d + 1) // 2  # the largest size with 2 (size - 1) < d
-    faces: set[VertexSet] = set()
-    for simplex in simplices:
-        for size in range(1, min(len(simplex), largest) + 1):
+    failing: list[VertexSet] = []
+    for size in range(1, largest + 1):
+        faces: set[VertexSet] = set()
+        for simplex in simplices:
             faces.update(combinations(simplex, size))
-    rest = [m for m in map(mask_of, faces) if lattice._row(m, m.bit_count() - 1) < 0]
-    failing = [
-        face_of(sigma)
-        for sigma, cdim in zip(rest, lattice.carrier_dims(rest))
-        if cdim > 2 * (sigma.bit_count() - 1)
-    ]
+        rest = [m for m in map(mask_of, faces) if lattice._row(m, size - 1) < 0]
+        failing += (
+            face_of(sigma)
+            for sigma, cdim in zip(rest, lattice.carrier_dims(rest))
+            if cdim > 2 * (size - 1)
+        )
     return (False, min(failing)) if failing else (True, None)

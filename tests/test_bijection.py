@@ -92,13 +92,18 @@ class TestCounts:
 
         monkeypatch.setattr(bijection, "triangulation_shelling", recorded)
         increment_steps.cache_clear()
-        try:
-            increment_steps(p)
-        finally:
-            increment_steps.cache_clear()
+        increment_steps(p)
         assert len(given_steps) == 1 and given_steps[0] is not None
         assert given_steps[0]
         assert all(s.facet[-1] == p.n - 1 for s in given_steps[0])
+        # every size reads the steps of the latest instance; another
+        # instance replaces them
+        for i in range(1, p.d):
+            count_by_size(p, i)
+        assert len(given_steps) == 1
+        count_by_size(Params(5, 6, 10), 1)
+        count_by_size(p, 1)
+        assert len(given_steps) == 3
 
     @pytest.mark.parametrize(
         "p", [*STABLE, Params(9, 11, 40), Params(5, 6, 120)], ids=str

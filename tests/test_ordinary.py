@@ -16,7 +16,7 @@ from ordpoly.ordinary import (
     facets_by_recursion,
     lsh,
 )
-from ordpoly.verify import grid_instances
+from ordpoly.verify import grid_instances, verify_instance
 
 
 instances = st.sampled_from(
@@ -192,10 +192,38 @@ class TestCarriedRecursion:
         p = Params(*dkn)
         assert_levels(p, lambda nn: {f: i for i, f in enumerate(multiplex_facets(p.d, nn))})
 
-    def test_one_generator_map_per_call(self):
-        _facet_generator_map.cache_clear()
+    @staticmethod
+    def recorded_builds(monkeypatch):
+        builds = []
+        build = ordinary._generator_map
+
+        def recorded(p):
+            builds.append(p)
+            return build(p)
+
+        monkeypatch.setattr(ordinary, "_generator_map", recorded)
+        ordinary._family_maps.cache_clear()
+        return builds
+
+    def test_one_generator_map_per_call(self, monkeypatch):
+        builds = self.recorded_builds(monkeypatch)
         facets_by_recursion(Params(5, 6, 40))
-        assert _facet_generator_map.cache_info().misses == 1
+        assert builds == [Params(5, 6, 6)]
+
+    def test_maps_of_the_current_instance_alone(self, monkeypatch):
+        # verify reads the maps of p, the cyclic base, p and n-1: each is
+        # built once, and the next n finds the base and its n-1 still held.
+        # Another family empties the memo.
+        builds = self.recorded_builds(monkeypatch)
+        verify_instance(Params(5, 6, 8))
+        assert builds == [Params(5, 6, 8), Params(5, 6, 6), Params(5, 6, 7)]
+        builds.clear()
+        verify_instance(Params(5, 6, 9))
+        assert builds == [Params(5, 6, 9)]
+        enumerate_facets(Params(7, 9, 9))
+        builds.clear()
+        enumerate_facets(Params(5, 6, 9))
+        assert builds == [Params(5, 6, 9)]
 
     def test_base_must_be_the_gale_facets(self, monkeypatch):
         real = _facet_generator_map(Params(5, 6, 6))

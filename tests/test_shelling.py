@@ -77,10 +77,20 @@ class TestNewFaceRoutes:
         # Walking down one n at a time memoises 14 490 levels here; a facet
         # below the top two labels starts at n = max(k, max F + 1) instead.
         b = bundles(5, 6, 120)
-        shelling._RECURSIVE_NEW_FACES.clear()
+        shelling._recursive_memo.cache_clear()
         for step in b.steps:
             minimal_new_face_recursive(step.facet, b.p)
-        assert len(shelling._RECURSIVE_NEW_FACES) < 3000
+        assert len(shelling._recursive_memo(b.p)) < 3000
+
+    def test_memo_holds_the_latest_instance_alone(self, bundles):
+        # A call for another instance starts an empty memo, so the walk of
+        # the last facet of P^{5,6,8} leaves one entry per level it met.
+        big, small = bundles(5, 6, 120), bundles(5, 6, 8)
+        for step in big.steps:
+            minimal_new_face_recursive(step.facet, big.p)
+        facet = small.steps[-1].facet
+        assert minimal_new_face_recursive(facet, small.p) == small.steps[-1].new_face
+        assert len(shelling._recursive_memo(small.p)) == small.p.n - small.p.k + 1
 
     @pytest.mark.parametrize("dkn", [(5, 6, 8), (5, 7, 9), (5, 5, 8), (4, 4, 7)])
     def test_antistar_oracle(self, dkn, bundles):

@@ -1,5 +1,7 @@
 """Boundary triangulation: simplices, the window shelling, U faces, depth."""
 
+import tracemalloc
+
 import pytest
 
 from oracles import (
@@ -178,6 +180,23 @@ class TestShallow:
             [s.simplex for s in b.tri_steps], b.lattice
         )
         assert ok, witness
+
+    def test_peak_memory_is_one_size_of_faces(self, bundles):
+        # The 430 simplices of P^{9,11,20} have 6 592 distinct faces of
+        # sizes 1..5, 3 711 of them of size 5.  The faces of one size are
+        # held at a time: a warm check peaks at about 330 KB, and at about
+        # 740 KB with the faces of every size in one set.
+        b = bundles(9, 11, 20)
+        simplices = [s.simplex for s in b.tri_steps]
+        # a first call leaves the interpreter warm, so the peak is the check's
+        shallowness_check(simplices, b.lattice)
+        tracemalloc.start()
+        try:
+            assert shallowness_check(simplices, b.lattice) == (True, None)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 512 * 1024, f"the check peaks at {peak // 1024} KB"
 
 
 class TestShallowOracle:

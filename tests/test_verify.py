@@ -184,7 +184,7 @@ class TestVerifyInstance:
 
     def test_triangulation_is_built_at_most_twice(self, monkeypatch):
         # once for the bundle, once for the bijection's increment steps,
-        # which every size of both bijection checks reads from one cache
+        # which every size of both bijection checks reads from one memo
         calls = []
         build = triangulation.triangulation_shelling
 
@@ -195,32 +195,48 @@ class TestVerifyInstance:
         for module in (triangulation, bijection, verify):
             monkeypatch.setattr(module, "triangulation_shelling", counted)
         bijection.increment_steps.cache_clear()
-        results = verify_instance(Params(7, 9, 15))
+        p = Params(7, 9, 15)
+        results = verify_instance(p)
         assert all(r.ok for r in results)
         assert not any(r.detail for r in results if r.name.startswith("bijection"))
-        assert len(calls) <= 2
+        assert calls == [p, p]
 
 
-# Each row breaks one route as ``verify`` imports it, so exactly the check
-# that compares that route with another must fail.
+def bump(h):
+    """An h-vector with h_1 one too large."""
+    return (h[0], h[1] + 1, *h[2:])
+
+
+# Each row plants one defect in a route as ``verify`` imports it, and names
+# the exact set of checks that refuse it on P^{5,6,10}.  A route of a pair
+# of aim 2 is broken on one side only, so a row fails if the two sides are
+# ever merged.  Reversing the colex shelling fails only the wall oracle:
+# the reverse of a shelling of a polytope's boundary is a shelling too, and
+# the partition, Boolean and new-face checks do not read the order.
 BROKEN_ROUTES = [
-    ("facets_by_recursion", lambda real: lambda p: real(p)[:-1], "facet_routes"),
-    ("boundary_triangulation", lambda real: lambda p: real(p)[:-1], "triangulation_cover"),
+    ("facets_by_recursion", lambda real: lambda p: real(p)[:-1], {"facet_routes"}),
+    ("boundary_triangulation", lambda real: lambda p: real(p)[:-1], {"triangulation_cover"}),
     (
         "shelling_restriction_faces",
         lambda real: lambda simplices: real(simplices)[:-1] + [()],
-        "triangulation_oracle",
+        {"triangulation_oracle"},
     ),
-    ("lsh", lambda real: lambda f, p: tuple(v + 1 for v in real(f, p)), "lsh_monotone"),
-    ("subset_to_facet", lambda real: lambda a, p, i: real(a, p, i)[::-1], "bijection_roundtrip"),
+    ("lsh", lambda real: lambda f, p: tuple(v + 1 for v in real(f, p)), {"lsh_monotone"}),
+    ("subset_to_facet", lambda real: lambda a, p, i: real(a, p, i)[::-1], {"bijection_roundtrip"}),
+    ("h_closed_form", lambda real: lambda p: bump(real(p)), {"four_way_h"}),
+    ("multiplicial_h", lambda real: lambda f, f0: bump(real(f, f0)), {"four_way_h"}),
+    ("simplicial_h", lambda real: lambda steps, d: bump(real(steps, d)), {"four_way_h"}),
+    ("minimal_new_face_recursive", lambda real: lambda f, p: real(f, p)[1:], {"new_face_routes"}),
+    ("colex_shelling", lambda real: lambda p: real(p)[::-1], {"triangulation_oracle"}),
 ]
 
 
-@pytest.mark.parametrize("name, broken, check", BROKEN_ROUTES, ids=[r[0] for r in BROKEN_ROUTES])
-def test_a_broken_route_fails_its_own_check(name, broken, check, monkeypatch):
+@pytest.mark.parametrize("name, broken, checks", BROKEN_ROUTES, ids=[r[0] for r in BROKEN_ROUTES])
+def test_a_broken_route_fails_its_own_check(name, broken, checks, monkeypatch):
     monkeypatch.setattr(verify, name, broken(getattr(verify, name)))
-    failed = {r.name for r in verify_instance(Params(5, 6, 10)) if not r.ok}
-    assert failed == {check}
+    failed = {r.name: r.detail for r in verify_instance(Params(5, 6, 10)) if not r.ok}
+    assert set(failed) == checks
+    assert all(failed.values())
 
 
 class TestWitnesses:
