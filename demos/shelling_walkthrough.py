@@ -16,7 +16,7 @@ from ordpoly.shelling import (
 
 
 def span(run) -> str:
-    return f"{run.lo}..{run.hi}"
+    return f"{run[0]}..{run[-1]}"
 
 
 def describe(face, p: Params) -> None:

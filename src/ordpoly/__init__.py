@@ -12,7 +12,7 @@ from .bijection import (
     facet_to_subset,
     subset_to_facet,
 )
-from .combinat import Interval, Params, colex_key
+from .combinat import Params, colex_key
 from .hvector import h_closed_form, multiplicial_h, shelling_contributions
 from .lattice import FaceLattice, build_face_lattice, euler_check
 from .multiplex import (
@@ -49,7 +49,6 @@ __all__ = [
     "CheckResult",
     "FaceLattice",
     "InstanceBundle",
-    "Interval",
     "Params",
     "ShellingStep",
     "TriangulationStep",

@@ -16,13 +16,7 @@ from functools import lru_cache
 from math import comb
 from typing import NamedTuple
 
-from .combinat import (
-    Interval,
-    Params,
-    VertexSet,
-    even_positions,
-    maximal_runs,
-)
+from .combinat import Params, VertexSet, maximal_runs
 from .ordinary import enumerate_facets
 from .shelling import ShellingStep, minimal_new_face_nonrecursive
 from .triangulation import TriangulationStep, triangulation_shelling
@@ -72,19 +66,18 @@ def decompose_step_simplex(simplex: VertexSet, p: Params) -> BijectionRecord:
     if n - k in simplex:
         raise ValueError(f"{simplex}: must omit n-k")
     runs = maximal_runs(simplex)
-    if runs[0] != Interval(b, n - k - 1):
+    if runs[0] != range(b, n - k):
         raise ValueError(f"{simplex}: bottom block is not [b, n-k-1]")
     e = b + k - 1 if a1 % 2 == 1 else b + k
-    top_block = Interval(e, b + k)
-    if not all(v in simplex for v in top_block.members()):
+    if not all(v in simplex for v in range(e, b + k + 1)):
         raise ValueError(f"{simplex}: top block must cover [{e}, {b + k}]")
     middle = [v for v in simplex if n - k < v < e]
     if middle and middle[0] == n - k + 1:
-        c = next(run.hi for run in runs if n - k + 1 in run)
+        c = next(run[-1] for run in runs if n - k + 1 in run)
     else:
         c = n - k
     y = tuple(v for v in middle if v > c)
-    if any(run.size % 2 for run in maximal_runs(y)):
+    if any(len(run) % 2 for run in maximal_runs(y)):
         raise ValueError(f"{simplex}: middle part {y} is not paired")
     if y and y[0] == c + 1:
         raise ValueError(f"{simplex}: paired part may not touch the c-block")
@@ -107,7 +100,7 @@ def decompose_step_simplex(simplex: VertexSet, p: Params) -> BijectionRecord:
     new_face = tuple(
         sorted(
             set(range(b + 1, n - k))
-            | {v for run in maximal_runs(y) for v in even_positions(run)}
+            | {v for run in maximal_runs(y) for v in run[1::2]}
             | {b + k}
         )
     )

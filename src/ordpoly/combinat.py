@@ -3,13 +3,17 @@
 A face of a polytope or of a triangulation is identified with its vertex
 set, stored as a strictly increasing tuple of integer labels.  This module
 supplies the primitive operations on such sets: retraction (clamping into
-[0, n]), Gale evenness, paired subsets, maximal runs, even positions, the
-colexicographic order used throughout, the bitmask encoding (bit v set
-iff label v is in the set) with the maximal-masks helper, and the shelling
-wall test on per-vertex incidence bitsets (bit i of row v set iff cell i
-holds vertex v), which reads walls from position tables cached per size
-and returns both the covered walls and the stray earlier cells, so each
-caller names its own failure from one pass.
+[0, n]), Gale evenness, paired subsets, maximal runs, the colexicographic
+order used throughout, the bitmask encoding (bit v set iff label v is in
+the set) with the maximal-masks helper, and the shelling wall test on
+per-vertex incidence bitsets (bit i of row v set iff cell i holds vertex
+v), which reads walls from position tables cached per size and returns
+both the covered walls and the stray earlier cells, so each caller names
+its own failure from one pass.
+
+Integer intervals [lo, hi] (runs, windows, ground sets) are plain
+``range(lo, hi + 1)`` objects; the even positions of a run are
+``run[1::2]``.
 """
 
 from __future__ import annotations
@@ -20,23 +24,6 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 VertexSet = tuple[int, ...]
 # Walls of a cell, each as (positions inside it, positions outside it).
 WallTable = Sequence[tuple[Sequence[int], Sequence[int]]]
-
-
-class Interval(NamedTuple):
-    """Integer interval [lo, hi], inclusive; empty when hi < lo."""
-
-    lo: int
-    hi: int
-
-    @property
-    def size(self) -> int:
-        return max(0, self.hi - self.lo + 1)
-
-    def members(self) -> range:
-        return range(self.lo, self.hi + 1)
-
-    def __contains__(self, v: object) -> bool:
-        return isinstance(v, int) and self.lo <= v <= self.hi
 
 
 # Params' fields; a NamedTuple body may not define the validating __new__.
@@ -116,27 +103,22 @@ def retract(values: Iterable[int], n: int) -> VertexSet:
     return tuple(s[lo:hi])
 
 
-def maximal_runs(face: VertexSet) -> list[Interval]:
+def maximal_runs(face: VertexSet) -> list[range]:
     """Partition a vertex set into maximal intervals of consecutive labels."""
-    runs: list[Interval] = []
+    runs: list[range] = []
     if not face:
         return runs
     lo = prev = face[0]
     for v in face[1:]:
         if v != prev + 1:
-            runs.append(Interval(lo, prev))
+            runs.append(range(lo, prev + 1))
             lo = v
         prev = v
-    runs.append(Interval(lo, prev))
+    runs.append(range(lo, prev + 1))
     return runs
 
 
-def even_positions(iv: Interval) -> VertexSet:
-    """Second, fourth, ... elements of the interval: {lo+1, lo+3, ...}."""
-    return tuple(range(iv.lo + 1, iv.hi + 1, 2))
-
-
-def is_gale(subset: Iterable[int], ground: Interval) -> bool:
+def is_gale(subset: Iterable[int], ground: range) -> bool:
     """Gale evenness of ``subset`` inside the ordered ground interval.
 
     True iff between any two consecutive elements of ground minus the
@@ -145,8 +127,8 @@ def is_gale(subset: Iterable[int], ground: Interval) -> bool:
     """
     sub = set(subset)
     if not all(v in ground for v in sub):
-        raise ValueError(f"{sorted(sub)} is not a subset of [{ground.lo},{ground.hi}]")
-    complement = [v for v in ground.members() if v not in sub]
+        raise ValueError(f"{sorted(sub)} is not a subset of [{ground.start},{ground.stop - 1}]")
+    complement = [v for v in ground if v not in sub]
     for left, right in zip(complement, complement[1:]):
         if (right - left - 1) % 2 != 0:
             return False
@@ -168,20 +150,20 @@ def colex_sorted(faces: Iterable[VertexSet]) -> list[VertexSet]:
     return sorted(faces, key=colex_key)
 
 
-def _paired_from(lo: int, hi: int, size: int) -> Iterator[list[int]]:
-    # Place the leftmost maximal run (even length, followed by a gap),
-    # then recurse on the remainder of the interval.
+def _paired_from(lo: int, stop: int, size: int) -> Iterator[list[int]]:
+    # Labels run over [lo, stop).  Place the leftmost maximal run (even
+    # length, followed by a gap), then recurse on the remainder.
     if size == 0:
         yield []
         return
-    for start in range(lo, hi - size + 2):
+    for start in range(lo, stop - size + 1):
         for length in range(2, size + 1, 2):
             head = list(range(start, start + length))
-            for rest in _paired_from(start + length + 1, hi, size - length):
+            for rest in _paired_from(start + length + 1, stop, size - length):
                 yield head + rest
 
 
-def paired_subsets(window: Interval, size: int) -> list[VertexSet]:
+def paired_subsets(window: range, size: int) -> list[VertexSet]:
     """All size-``size`` subsets of ``window`` whose maximal runs all have
     even length, in colex order.
 
@@ -189,9 +171,9 @@ def paired_subsets(window: Interval, size: int) -> list[VertexSet]:
     """
     if size < 0:
         raise ValueError(f"size must be >= 0, got {size}")
-    if size % 2 != 0 or size > window.size:
+    if size % 2 != 0 or size > len(window):
         return [] if size else [()]
-    return colex_sorted(tuple(y) for y in _paired_from(window.lo, window.hi, size))
+    return colex_sorted(tuple(y) for y in _paired_from(window.start, window.stop, size))
 
 
 # -- bitmasks and the shelling wall test -----------------------------------

@@ -18,7 +18,6 @@ from itertools import combinations
 from typing import Callable, Iterator
 
 from .combinat import (
-    Interval,
     Params,
     VertexSet,
     colex_sorted,
@@ -44,11 +43,12 @@ def _generator_windows(p: Params):
     """
     d, k, n = p.d, p.k, p.n
     for r in range(1, p.m + 1):
-        # left block, paired part and right block lie in this order
+        # left block, paired part and right block lie in this order; the
+        # paired part lies in [2r+1, k-2]
         left, right = tuple(range(2 * r)), tuple(range(k, k + 2 * r))
         shapes = [
             left + y + right
-            for y in paired_subsets(Interval(2 * r + 1, k - 2), d - 2 * r - 1)
+            for y in paired_subsets(range(2 * r + 1, k - 1), d - 2 * r - 1)
         ]
         for i in range(-k, n + 1):
             for gen in shapes:
@@ -134,10 +134,8 @@ def _shift_generators(
 
 def _gale_facets(p: Params) -> list[VertexSet]:
     """Base case n = k: the d-element Gale subsets of [0, k]."""
-    ground = Interval(0, p.k)
-    return colex_sorted(
-        f for f in combinations(ground.members(), p.d) if is_gale(f, ground)
-    )
+    ground = range(0, p.k + 1)
+    return colex_sorted(f for f in combinations(ground, p.d) if is_gale(f, ground))
 
 
 def _levels(p: Params) -> Iterator[tuple[dict, dict]]:

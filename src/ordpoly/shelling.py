@@ -21,11 +21,9 @@ from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 from .combinat import (
-    Interval,
     Params,
     VertexSet,
     WallTable,
-    even_positions,
     mask_of,
     maximal_runs,
     set_bits,
@@ -55,8 +53,8 @@ class FaceDecomposition(NamedTuple):
     """
 
     anchored: VertexSet
-    evens: tuple[Interval, ...]
-    tail: Interval | None
+    evens: tuple[range, ...]
+    tail: range | None
 
 
 def decompose_facet(face: VertexSet, p: Params) -> FaceDecomposition:
@@ -73,12 +71,12 @@ def decompose_facet(face: VertexSet, p: Params) -> FaceDecomposition:
         # The general rule below assumes k > d here; in multiplex mode
         # every vertex but the maximum is anchored and the maximum alone
         # is new.
-        return FaceDecomposition(face[:-1], (), Interval(mx, mx))
+        return FaceDecomposition(face[:-1], (), range(mx, mx + 1))
 
     runs = maximal_runs(face)
-    run_of = {v: run for run in runs for v in run.members()}
+    run_of = {v: run for run in runs for v in run}
     tail = runs[-1] if mx == n else None
-    anchored_runs: list[Interval] = []
+    anchored_runs: list[range] = []
     if mx <= k - 1:
         if 0 not in run_of:
             raise ValueError(f"{face}: low facet must contain 0")
@@ -96,14 +94,14 @@ def decompose_facet(face: VertexSet, p: Params) -> FaceDecomposition:
     if tail is not None and tail in anchored_runs:
         raise ValueError(f"{face}: anchored run collides with the tail run")
 
-    evens: list[Interval] = []
+    evens: list[range] = []
     for run in runs:
         if run in anchored_runs or run == tail:
             continue
-        if run.size % 2 != 0:
+        if len(run) % 2 != 0:
             raise ValueError(f"{face}: leftover run {run} has odd length")
         evens.append(run)
-    anchored = tuple(v for run in anchored_runs for v in run.members())
+    anchored = tuple(v for run in anchored_runs for v in run)
     return FaceDecomposition(tuple(sorted(anchored)), tuple(evens), tail)
 
 
@@ -112,9 +110,9 @@ def minimal_new_face_nonrecursive(face: VertexSet, p: Params) -> VertexSet:
     dec = decompose_facet(face, p)
     out: list[int] = []
     for run in dec.evens:
-        out.extend(even_positions(run))
+        out.extend(run[1::2])
     if dec.tail is not None:
-        out.extend(dec.tail.members())
+        out.extend(dec.tail)
     return tuple(sorted(out))
 
 
@@ -124,13 +122,13 @@ def _cyclic_new_face(face: VertexSet, p: Params) -> VertexSet:
     out: list[int] = []
     for run in maximal_runs(face):
         if p.k in run:
-            out.extend(run.members())
+            out.extend(run)
         elif 0 in run:
             continue
         else:
-            if run.size % 2 != 0:
+            if len(run) % 2 != 0:
                 raise ValueError(f"{face}: interior run {run} has odd length")
-            out.extend(even_positions(run))
+            out.extend(run[1::2])
     return tuple(sorted(out))
 
 

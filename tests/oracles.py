@@ -10,7 +10,6 @@ holds the library's per-class toric tables against ``toric_by_rows``.
 from itertools import combinations
 
 from ordpoly.combinat import (
-    Interval,
     Params,
     _maximal,
     colex_key,
@@ -240,8 +239,8 @@ def boundary_by_windows(p):
     d, k, n = p.d, p.k, p.n
     out = set()
     for i in range(n - k + 1):
-        window = Interval(i, i + k)
-        for sub in combinations(window.members(), d):
+        window = range(i, i + k + 1)
+        for sub in combinations(window, d):
             picked = set(sub)
             if not (0 in picked or n in picked or {i, i + k} <= picked):
                 continue

@@ -10,12 +10,10 @@ from hypothesis import strategies as st
 
 from oracles import retract_by_clamping, shelling_walls_by_scans, simplex_walls
 from ordpoly.combinat import (
-    Interval,
     Params,
     _maximal,
     colex_key,
     colex_sorted,
-    even_positions,
     face_of,
     is_gale,
     mask_of,
@@ -32,13 +30,12 @@ from ordpoly.triangulation import TriangulationStep
 from ordpoly.verify import CheckResult
 
 
-def all_even_run_subsets(window: Interval, size: int) -> list[tuple[int, ...]]:
+def all_even_run_subsets(window: range, size: int) -> list[tuple[int, ...]]:
     """Brute oracle: filter every subset for the all-runs-even property."""
-    members = window.members()
     out = [
         subset
-        for subset in combinations(members, size)
-        if all(r.size % 2 == 0 for r in maximal_runs(subset))
+        for subset in combinations(window, size)
+        if all(len(r) % 2 == 0 for r in maximal_runs(subset))
     ]
     return colex_sorted(out)
 
@@ -93,7 +90,7 @@ class TestParams:
 RECORDS = [
     (Params, "d k n", (5, 6, 8)),
     (ShellingStep, "index facet new_face", (1, (0, 1), ())),
-    (FaceDecomposition, "anchored evens tail", ((0,), (Interval(2, 3),), None)),
+    (FaceDecomposition, "anchored evens tail", ((0,), (range(2, 4),), None)),
     (TriangulationStep, "facet_index window_index simplex new_face", (1, 0, (0, 1), (1,))),
     (BoundarySimplex, "simplex tetra facet", ((0, 1), 0, 0)),
     (
@@ -166,61 +163,64 @@ class TestRetract:
 class TestRuns:
     def test_example(self):
         runs = maximal_runs((0, 1, 2, 4, 5, 7, 8))
-        assert runs == [Interval(0, 2), Interval(4, 5), Interval(7, 8)]
+        assert runs == [range(0, 3), range(4, 6), range(7, 9)]
 
     @given(st.sets(st.integers(0, 40), max_size=15))
     def test_partition(self, face):
         face = tuple(sorted(face))
         runs = maximal_runs(face)
-        covered = [v for r in runs for v in r.members()]
+        covered = [v for r in runs for v in r]
         assert tuple(sorted(covered)) == face
         for left, right in zip(runs, runs[1:]):
-            assert right.lo > left.hi + 1
+            assert right[0] > left[-1] + 1
 
 
 class TestEvenPositions:
-    def test_examples(self):
-        assert even_positions(Interval(4, 5)) == (5,)
-        assert even_positions(Interval(3, 8)) == (4, 6, 8)
-        assert even_positions(Interval(3, 2)) == ()
+    """The even positions of a run [lo, hi] are its slice ``run[1::2]``."""
 
-    @given(st.integers(0, 30), st.integers(-1, 12))
-    def test_takes_alternate_members(self, lo, length):
-        iv = Interval(lo, lo + length)
-        picked = even_positions(iv)
-        assert picked == tuple(iv.members()[1::2])
+    def test_examples(self):
+        runs = maximal_runs((3, 4, 5, 6, 7, 8, 10, 11, 13))
+        assert [tuple(run[1::2]) for run in runs] == [(4, 6, 8), (11,), ()]
+        assert maximal_runs(()) == []
+
+    @given(st.sets(st.integers(0, 40), max_size=15))
+    def test_takes_alternate_members(self, face):
+        for run in maximal_runs(tuple(sorted(face))):
+            assert tuple(run[1::2]) == tuple(range(run[0] + 1, run[-1] + 1, 2))
 
 
 class TestPairedSubsets:
     def test_examples(self):
-        assert paired_subsets(Interval(2, 4), 2) == [(2, 3), (3, 4)]
-        assert paired_subsets(Interval(1, 4), 4) == [(1, 2, 3, 4)]
-        assert paired_subsets(Interval(1, 4), 0) == [()]
-        assert paired_subsets(Interval(1, 4), 3) == []
+        assert paired_subsets(range(2, 5), 2) == [(2, 3), (3, 4)]
+        assert paired_subsets(range(1, 5), 4) == [(1, 2, 3, 4)]
+        assert paired_subsets(range(1, 5), 0) == [()]
+        assert paired_subsets(range(1, 5), 3) == []
 
     @given(st.integers(0, 12), st.integers(0, 9), st.integers(0, 8))
     def test_matches_brute_filter(self, lo, length, size):
-        window = Interval(lo, lo + length - 1)
+        window = range(lo, lo + length)
         assert paired_subsets(window, size) == all_even_run_subsets(window, size)
 
 
 class TestGale:
     def test_rejects_non_subset(self):
-        with pytest.raises(ValueError):
-            is_gale((9,), Interval(0, 2))
+        with pytest.raises(ValueError, match=re.escape("[9] is not a subset of [0,2]")):
+            is_gale((9,), range(0, 3))
+        with pytest.raises(ValueError, match=re.escape("[1] is not a subset of [0,-1]")):
+            is_gale((1,), range(0, 0))
 
     def test_prefix_run_free(self):
-        assert is_gale((0, 1, 2, 3, 4), Interval(0, 8))
+        assert is_gale((0, 1, 2, 3, 4), range(0, 9))
 
     def test_even_interior_run(self):
-        assert is_gale((1, 2), Interval(0, 3))
+        assert is_gale((1, 2), range(0, 4))
 
     def test_odd_interior_run(self):
-        assert not is_gale((1, 2, 3), Interval(0, 5))
+        assert not is_gale((1, 2, 3), range(0, 6))
 
     def test_even_run_pair_interior(self):
-        assert is_gale((3, 4, 5, 6), Interval(0, 10))
-        assert not is_gale((3, 4, 5, 6, 7), Interval(0, 10))
+        assert is_gale((3, 4, 5, 6), range(0, 11))
+        assert not is_gale((3, 4, 5, 6, 7), range(0, 11))
 
     @given(st.integers(4, 9), st.data())
     def test_matches_interior_run_parity(self, n, data):
@@ -236,7 +236,7 @@ class TestGale:
         expected = all(
             len(r) % 2 == 0 for r in runs if r[0] != 0 and r[-1] != n
         )
-        assert is_gale(subset, Interval(0, n)) == expected
+        assert is_gale(subset, range(0, n + 1)) == expected
 
 
 class TestColex:

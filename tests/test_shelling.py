@@ -12,7 +12,7 @@ from oracles import (
     partition_witness_by_counting,
 )
 from ordpoly import shelling
-from ordpoly.combinat import Interval, Params, set_bits
+from ordpoly.combinat import Params, set_bits
 from ordpoly.lattice import build_face_lattice
 from ordpoly.shelling import (
     ShellingStep,
@@ -118,17 +118,17 @@ class TestDecompose:
         dec = decompose_facet((0, 1, 2, 3, 6, 7, 8), p)
         assert dec.anchored == (0, 1, 2, 3)
         assert dec.evens == ()
-        assert dec.tail == Interval(6, 8)
+        assert dec.tail == range(6, 9)
 
         dec = decompose_facet((0, 1, 3, 4, 6, 7), p)
         assert dec.anchored == (0, 1, 3, 4)
-        assert dec.evens == (Interval(6, 7),)
+        assert dec.evens == (range(6, 8),)
         assert dec.tail is None
 
         dec = decompose_facet((4, 5, 6, 7, 8), p)
         assert dec.anchored == ()
         assert dec.evens == ()
-        assert dec.tail == Interval(4, 8)
+        assert dec.tail == range(4, 9)
 
     def test_minimal_new_face_from_parts(self):
         p = Params(5, 6, 8)

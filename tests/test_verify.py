@@ -6,8 +6,8 @@ from types import SimpleNamespace
 import pytest
 
 from oracles import NOT_EULERIAN
-from ordpoly import bijection, lattice, shelling, triangulation, verify
-from ordpoly.combinat import Interval, Params, is_gale
+from ordpoly import bijection, hvector, lattice, shelling, triangulation, verify
+from ordpoly.combinat import Params, is_gale
 from ordpoly.hvector import toric_tables
 from ordpoly.verify import CHECK_NAMES, grid_instances, verify_instance
 
@@ -56,6 +56,24 @@ class TestVerifyInstance:
         by_name = {r.name: r for r in results}
         assert by_name["multiplex_suite"].ok
         assert not by_name["multiplex_suite"].detail
+
+    def test_state_budget_fails_the_topological_check_alone(self, monkeypatch):
+        # The contract README "Limits" states: a search that outgrows its
+        # budget is a FAIL of topological_shelling that names the error,
+        # and the other 20 verdicts are those of a run within the budget.
+        p = Params(5, 6, 8)
+        fresh = verify_instance(p)
+        monkeypatch.setattr(shelling, "_STATE_BUDGET", 3)
+        capped = verify_instance(p)
+        assert capped[CHECK_NAMES.index("topological_shelling")] == (
+            "topological_shelling",
+            False,
+            "StateBudgetError: topological shelling search exceeded its state budget",
+        )
+        assert [r for r in capped if r.name != "topological_shelling"] == [
+            r for r in fresh if r.name != "topological_shelling"
+        ]
+        assert all(r.ok for r in fresh)
 
     @pytest.mark.parametrize("n", [2, 3, 7])
     def test_polygons_pass_every_check(self, n):
@@ -207,33 +225,58 @@ def bump(h):
     return (h[0], h[1] + 1, *h[2:])
 
 
-# Each row plants one defect in a route as ``verify`` imports it, and names
-# the exact set of checks that refuse it on P^{5,6,10}.  A route of a pair
-# of aim 2 is broken on one side only, so a row fails if the two sides are
-# ever merged.  Reversing the colex shelling fails only the wall oracle:
+def top_bump(real):
+    """toric_tables with the top class's h, the polytope's, bumped."""
+
+    def broken(lat):
+        h, g = real(lat)
+        return h[:-1] + [bump(h[-1])], g
+
+    return broken
+
+
+# Each row plants one defect in a route as the module of its first column
+# imports it, and names the exact set of checks that refuse it on
+# P^{5,6,10}.  A route of a pair of aim 2 is broken on one side only, so a
+# row fails if the two sides are ever merged.  The two ``hvector`` rows
+# break one side each of the contributions' interval vs window counting:
+# ``set_bits`` drops the last row of every step interval, and
+# ``new_face_counts`` (as ``hvector``, not ``verify``, reads it) bumps every
+# window count.  Reversing the colex shelling fails only the wall oracle:
 # the reverse of a shelling of a polytope's boundary is a shelling too, and
 # the partition, Boolean and new-face checks do not read the order.
 BROKEN_ROUTES = [
-    ("facets_by_recursion", lambda real: lambda p: real(p)[:-1], {"facet_routes"}),
-    ("boundary_triangulation", lambda real: lambda p: real(p)[:-1], {"triangulation_cover"}),
+    (verify, "facets_by_recursion", lambda real: lambda p: real(p)[:-1], {"facet_routes"}),
+    (verify, "boundary_triangulation", lambda real: lambda p: real(p)[:-1], {"triangulation_cover"}),
     (
+        verify,
         "shelling_restriction_faces",
         lambda real: lambda simplices: real(simplices)[:-1] + [()],
         {"triangulation_oracle"},
     ),
-    ("lsh", lambda real: lambda f, p: tuple(v + 1 for v in real(f, p)), {"lsh_monotone"}),
-    ("subset_to_facet", lambda real: lambda a, p, i: real(a, p, i)[::-1], {"bijection_roundtrip"}),
-    ("h_closed_form", lambda real: lambda p: bump(real(p)), {"four_way_h"}),
-    ("multiplicial_h", lambda real: lambda f, f0: bump(real(f, f0)), {"four_way_h"}),
-    ("simplicial_h", lambda real: lambda steps, d: bump(real(steps, d)), {"four_way_h"}),
-    ("minimal_new_face_recursive", lambda real: lambda f, p: real(f, p)[1:], {"new_face_routes"}),
-    ("colex_shelling", lambda real: lambda p: real(p)[::-1], {"triangulation_oracle"}),
+    (verify, "lsh", lambda real: lambda f, p: tuple(v + 1 for v in real(f, p)), {"lsh_monotone"}),
+    (verify, "subset_to_facet", lambda real: lambda a, p, i: real(a, p, i)[::-1], {"bijection_roundtrip"}),
+    (verify, "h_closed_form", lambda real: lambda p: bump(real(p)), {"four_way_h"}),
+    (verify, "multiplicial_h", lambda real: lambda f, f0: bump(real(f, f0)), {"four_way_h"}),
+    (verify, "simplicial_h", lambda real: lambda steps, d: bump(real(steps, d)), {"four_way_h"}),
+    (verify, "minimal_new_face_recursive", lambda real: lambda f, p: real(f, p)[1:], {"new_face_routes"}),
+    (verify, "colex_shelling", lambda real: lambda p: real(p)[::-1], {"triangulation_oracle"}),
+    (verify, "toric_tables", top_bump, {"four_way_h", "h_symmetric", "sum_h", "contributions"}),
+    (hvector, "set_bits", lambda real: lambda bits: real(bits)[:-1], {"contributions"}),
+    (hvector, "new_face_counts", lambda real: lambda faces, d: bump(real(faces, d)), {"contributions"}),
 ]
 
 
-@pytest.mark.parametrize("name, broken, checks", BROKEN_ROUTES, ids=[r[0] for r in BROKEN_ROUTES])
-def test_a_broken_route_fails_its_own_check(name, broken, checks, monkeypatch):
-    monkeypatch.setattr(verify, name, broken(getattr(verify, name)))
+@pytest.mark.parametrize(
+    "module, name, broken, checks",
+    BROKEN_ROUTES,
+    ids=[
+        name if module is verify else f"{module.__name__.removeprefix('ordpoly.')}.{name}"
+        for module, name, *_ in BROKEN_ROUTES
+    ],
+)
+def test_a_broken_route_fails_its_own_check(module, name, broken, checks, monkeypatch):
+    monkeypatch.setattr(module, name, broken(getattr(module, name)))
     failed = {r.name: r.detail for r in verify_instance(Params(5, 6, 10)) if not r.ok}
     assert set(failed) == checks
     assert all(failed.values())
@@ -285,7 +328,7 @@ class TestWitnesses:
         # the pyramid over C(4,7) is Eulerian, but its base, a facet with
         # seven vertices, has the g of C(4,7), not that of the 4-multiplex
         base = tuple(range(7))
-        gale = [f for f in combinations(base, 4) if is_gale(f, Interval(0, 6))]
+        gale = [f for f in combinations(base, 4) if is_gale(f, range(0, 7))]
         facets = [base] + [f + (7,) for f in gale]
         pyramid = lattice.build_face_lattice(facets, 5)
         assert (len(facets), len(pyramid)) == (15, 144)
